@@ -12,8 +12,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .config import TWO_PI, AntennaMode, NetworkConfig
-from .errors import DegenerateScaleError
-from .geometry import transmission_range
+from .geometry import _loglog_term, transmission_range
 
 
 class Condition(Enum):
@@ -41,23 +40,13 @@ class Thresholds:
         return self.n ** (1.0 / 3.0) * C_A ** (1.0 / 6.0) / self.log_n ** 0.5
 
 
-def _iterated_log(n: int, H: int) -> tuple[float, float]:
-    inner = H * H * math.log(n)
-    if inner <= math.e:
-        raise DegenerateScaleError(
-            f"H^2 * ln(n) = {inner:.4g} <= e; iterated log undefined (n={n}, H={H})"
-        )
-    outer = math.log(inner)
-    return outer, math.log(outer)
-
-
 def thresholds(n: int, H: int) -> Thresholds:
     if n < 3:
         raise ValueError(f"thresholds needs n >= 3, got {n}")
     if H < 1:
         raise ValueError(f"thresholds needs H >= 1, got {H}")
     log_n = math.log(n)
-    outer, outer_log = _iterated_log(n, H)
+    outer, outer_log = _loglog_term(n, H)
     return Thresholds(
         f1=log_n,
         f2=n * (outer_log / outer) ** 2,
@@ -126,7 +115,7 @@ def per_node_throughput(cfg: NetworkConfig) -> ThroughputOrder:
             lam *= TWO_PI / cfg.phi
         fid = "interference"
     elif cond is Condition.DESTINATION_BOTTLENECK:
-        outer, outer_log = _iterated_log(n, H)
+        outer, outer_log = _loglog_term(n, H)
         lam = n ** 0.5 * outer_log * W_A / (C_A * H * log_n ** 0.5 * outer)
         fid = "destination-bottleneck"
     else:
@@ -151,7 +140,7 @@ def aggregate_adhoc(cfg: NetworkConfig) -> float:
         if directional:
             total *= TWO_PI / cfg.phi
     elif cond is Condition.DESTINATION_BOTTLENECK:
-        outer, outer_log = _iterated_log(n, H)
+        outer, outer_log = _loglog_term(n, H)
         total = n ** 1.5 * outer_log * W_A / (C_A * H * log_n ** 0.5 * outer)
     else:
         total = H * H * log_n * W_A / C_A

@@ -83,7 +83,7 @@ def run_sweep(base: NetworkConfig, spec: SweepSpec, workers: int = 1) -> list:
     tasks = []
     for value in spec.values:
         cfg = point_config(base, spec, value)
-        for seed in range(spec.seeds):
+        for seed in range(base.rng_seed, base.rng_seed + spec.seeds):
             tasks.append((cfg.with_overrides(rng_seed=seed), value, seed, spec))
     results = []
     if workers <= 1:

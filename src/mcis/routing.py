@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import EmptyCellError, HopBudgetExceededError
-from .geometry import Topology, segment_intersects_square, supercover_cells
+from .geometry import Topology, grid_index, segment_intersects_square, supercover_cells
 
 
 class Mode(Enum):
@@ -282,6 +282,9 @@ def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int,
     reach = cfg.H * topology.tx_range
     reach2 = reach * reach
     policy = _RoundRobin(topology)
+    b0 = topology.bs_cell_side_count
+    bs_cell = (grid_index(topology.node_positions[:, 1], b0) * b0
+               + grid_index(topology.node_positions[:, 0], b0)).tolist()
     flows: list[Flow] = []
     load = np.zeros(n, dtype=np.int64)
     for src in range(n):
@@ -303,8 +306,8 @@ def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int,
                 flow.fallback = True
                 flow.adhoc_path = []
         if flow.mode is Mode.INFRA:
-            flow.uplink_bs = topology.bs_cell_of(sx, sy)
-            flow.downlink_bs = topology.bs_cell_of(dx_, dy_)
+            flow.uplink_bs = bs_cell[src]
+            flow.downlink_bs = bs_cell[dst]
         else:
             load[src] += 1
             for relay in flow.adhoc_path:

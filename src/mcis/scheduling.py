@@ -4,6 +4,9 @@ The ad hoc TDMA frame is an edge coloring of the hop multigraph (one slot per
 color, so every node is in at most one hop per slot) subdivided into
 mini-slots: a vertex coloring of the transmitter interference graph maps each
 transmitter to (mini-slot, channel) = (ceil(s / C_A), (s mod C_A) + 1).
+The interference graph is built in one vectorized pass for both antenna
+modes; the pairwise definition it must match lives in the test suite
+(`tests/conflict_oracle.py`) as the oracle.
 Base-station cells run a round-robin frame of k8+1 slots over square clusters.
 """
 
@@ -85,9 +88,6 @@ class InterferenceGraph:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def max_degree(self) -> int:
         if self.order == 0:
             return 0
@@ -142,133 +142,99 @@ def _hop_arrays(hops) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
+# Rows of (transmitter, hop) candidates the builder expands at a time; the
+# blocks, each deduplicated on its own, hold its peak memory down.
+_BLOCK_ROWS = 1 << 15
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + c) over the (start, count) pairs."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(int(counts.sum()))
+
+
+def _in_beam(angle: np.ndarray, boresight: np.ndarray, width: float) -> np.ndarray:
+    """Flat-top beam test on precomputed angles, elementwise."""
+    return np.abs((angle - boresight + math.pi) % TWO_PI - math.pi) <= width / 2.0
+
+
 def build_interference_graph(topology: Topology, hops,
-                             params: InterferenceParams,
-                             method: str = "auto") -> InterferenceGraph:
+                             params: InterferenceParams) -> InterferenceGraph:
     """Conflict graph: u ~ v iff one's transmission can corrupt the other's
     reception for some pair of their scheduled hops.
 
-    method picks the construction: "exact" is the reference pairwise scan,
-    "fast" the vectorized omni-only equivalent, "auto" switches on size.
+    Both antenna modes share one vectorized pass over the (transmitter,
+    receiver) pairs within the largest guard distance.  A transmitter u hits
+    hop h when dist(u, rx_h) < (1 + delta)|h|; in directional mode rx_h's beam,
+    aimed at tx_h, must also cover u, and one of u's beams, each aimed at one
+    of u's receivers, must cover rx_h.
     """
     tx, rx = _hop_arrays(hops)
     nodes = np.unique(tx)
     if len(nodes) == 0:
-        return InterferenceGraph.from_edge_array(nodes, np.empty((0, 2), dtype=np.int64))
-    pos = topology.node_positions
-    if method == "auto":
-        method = ("fast" if params.mode is AntennaMode.OMNI and len(nodes) > 1500
-                  else "exact")
-    if method == "fast":
-        if params.mode is not AntennaMode.OMNI:
-            raise ValueError("fast interference construction is omni-only")
-        pairs = _omni_conflict_pairs_fast(pos, tx, rx, params.delta)
+        pairs = np.empty((0, 2), dtype=np.int64)
     else:
-        pairs = _conflict_pairs_exact(pos, tx, rx, params)
+        pairs = _conflict_pairs(topology.node_positions, tx, rx, nodes, params)
     return InterferenceGraph.from_edge_array(nodes, pairs)
 
 
-def _conflict_pairs_exact(pos, tx, rx, params) -> np.ndarray:
-    """Reference pairwise construction (any mode)."""
-    hop_of: dict[int, list[int]] = {}
-    for i, t in enumerate(tx.tolist()):
-        hop_of.setdefault(t, []).append(i)
-    nodes = sorted(hop_of)
-    lengths = np.hypot(pos[tx, 0] - pos[rx, 0], pos[tx, 1] - pos[rx, 1])
-    reach = (2.0 + params.delta) * (lengths.max() if len(lengths) else 0.0)
-    node_pos = pos[np.asarray(nodes, dtype=np.int64)]
-    tree = cKDTree(node_pos)
-    cand = tree.query_pairs(reach, output_type="ndarray")
+def _conflict_pairs(pos, tx, rx, nodes, params) -> np.ndarray:
+    """(u, v) node-id pairs, u < v, of the conflict graph over `nodes`."""
+    order = len(nodes)
+    # Distinct hops, grouped by sender (a position in `nodes`).
+    htx, hrx = np.divmod(np.unique(tx * len(pos) + rx), len(pos))
+    sender = np.searchsorted(nodes, htx)
+    hop_first = np.searchsorted(sender, np.arange(order))
+    hop_count = np.diff(np.append(hop_first, len(htx)))
+    link = pos[hrx] - pos[htx]
+    thr = (1.0 + params.delta) * np.hypot(link[:, 0], link[:, 1])
+    receivers, receiver = np.unique(hrx, return_inverse=True)
+    cand = cKDTree(pos[nodes]).sparse_distance_matrix(
+        cKDTree(pos[receivers]), float(thr.max()), output_type="ndarray")
+    # Rank thresholds and distances together: the integer key (receiver,
+    # falling threshold rank) orders each receiver's hops exactly, and a
+    # candidate at distance d hits the prefix of its receiver's hops whose
+    # threshold ranks above d.
+    values, rank = np.unique(np.concatenate([thr, cand["v"]]), return_inverse=True)
+    k = len(values)
+    hop_key = receiver * k + (k - 1 - rank[:len(thr)])
+    by_key = np.argsort(hop_key, kind="stable")
+    hop_key = hop_key[by_key]
+    base = cand["j"] * k
+    first = np.searchsorted(hop_key, base)
+    count = np.searchsorted(hop_key, base + (k - 1 - rank[len(thr):])) - first
+    u_all = cand["i"]
     directional = params.mode is AntennaMode.DIRECTIONAL
-    pos_l = pos.tolist()
-    tx_l = tx.tolist()
-    rx_l = rx.tolist()
-
-    def hits(u: int, v: int) -> bool:
-        # Does u's transmission corrupt any of v's hops?
-        pu = pos_l[u]
-        for hv in hop_of[v]:
-            target = pos_l[rx_l[hv]]
-            if not directional:
-                if math.hypot(target[0] - pu[0], target[1] - pu[1]) \
-                        < (1.0 + params.delta) * lengths[hv]:
-                    return True
-                continue
-            rx_bore = math.atan2(pos_l[tx_l[hv]][1] - target[1],
-                                 pos_l[tx_l[hv]][0] - target[0])
-            for hu in hop_of[u]:
-                aim = pos_l[rx_l[hu]]
-                bore = math.atan2(aim[1] - pu[1], aim[0] - pu[0])
-                if interferes(pos_l[tx_l[hv]], target, pu, params,
-                              tx_b_boresight=bore, rx_a_boresight=rx_bore):
-                    return True
-        return False
-
-    out = []
-    for i, j in cand:
-        u = nodes[i]
-        v = nodes[j]
-        if hits(u, v) or hits(v, u):
-            out.append((u, v))
-    return np.asarray(out, dtype=np.int64).reshape(-1, 2)
-
-
-def _omni_conflict_pairs_fast(pos, tx, rx, delta) -> np.ndarray:
-    """Vectorized omni construction; same edge set as the reference path."""
-    n = len(pos)
-    key = np.unique(tx * n + rx)
-    utx = key // n
-    urx = key % n
-    thr = (1.0 + delta) * np.hypot(pos[utx, 0] - pos[urx, 0],
-                                   pos[utx, 1] - pos[urx, 1])
-    order = np.argsort(urx, kind="stable")
-    urx_s, utx_s, thr_s = urx[order], utx[order], thr[order]
-    rx_nodes, group_start = np.unique(urx_s, return_index=True)
-    group_end = np.append(group_start[1:], len(urx_s))
-    # Sort each rx group's hops by threshold descending for prefix queries.
-    within = np.argsort(-thr_s, kind="stable")
-    rank = np.argsort(urx_s[within], kind="stable")
-    perm = within[rank]
-    utx_sorted = utx_s[perm]
-    thr_sorted = thr_s[perm]
-
-    tx_nodes = np.unique(tx)
-    r_max = float(thr.max())
-    pairs = cKDTree(pos[tx_nodes]).sparse_distance_matrix(
-        cKDTree(pos[rx_nodes]), r_max, output_type="ndarray")
-    pi = pairs["i"].astype(np.int64)
-    pj = pairs["j"].astype(np.int64)
-    pd = pairs["v"]
-    by_rx = np.argsort(pj, kind="stable")
-    pi, pj, pd = pi[by_rx], pj[by_rx], pd[by_rx]
-
-    chunks = []
-    boundaries = np.searchsorted(pj, np.arange(len(rx_nodes) + 1))
-    for g in range(len(rx_nodes)):
-        lo, hi = boundaries[g], boundaries[g + 1]
-        if lo == hi:
-            continue
-        gs, ge = group_start[g], group_end[g]
-        thr_g = thr_sorted[gs:ge]
-        utx_g = utx_sorted[gs:ge]
-        counts = np.searchsorted(-thr_g, -pd[lo:hi], side="left")
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        u_rep = np.repeat(tx_nodes[pi[lo:hi]], counts)
-        offsets = np.cumsum(counts) - counts
-        within_idx = np.arange(total) - np.repeat(offsets, counts)
-        v_rep = utx_g[within_idx]
-        keep = u_rep != v_rep
-        if not keep.any():
-            continue
-        packed = np.unique(np.minimum(u_rep[keep], v_rep[keep]) * n
-                           + np.maximum(u_rep[keep], v_rep[keep]))
-        chunks.append(packed)
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    packed = np.unique(np.concatenate(chunks))
-    return np.column_stack([packed // n, packed % n])
+    if directional:
+        # Each angle comes from its own difference, never a negated one:
+        # atan2 tells +0 from -0, and a relay, as interferer, lies at distance
+        # 0 from the receiver of every hop that reaches it.
+        back = pos[htx] - pos[hrx]
+        rx_bore = np.arctan2(back[:, 1], back[:, 0])
+        tx_bore = np.arctan2(link[:, 1], link[:, 0])
+    rows = count * hop_count[u_all] if directional else count
+    block = (np.cumsum(rows) - rows) // _BLOCK_ROWS
+    bounds = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(rows)]
+    keys = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        u = np.repeat(u_all[lo:hi], count[lo:hi])
+        h = by_key[_ranges(first[lo:hi], count[lo:hi])]
+        keep = sender[h] != u
+        u, h = u[keep], h[keep]
+        if directional:
+            seen = pos[nodes[u]] - pos[hrx[h]]
+            keep = _in_beam(np.arctan2(seen[:, 1], seen[:, 0]), rx_bore[h], params.phi)
+            u, h = u[keep], h[keep]
+            gap = pos[hrx[h]] - pos[nodes[u]]
+            each = np.repeat(np.arange(len(u)), hop_count[u])
+            aims = _ranges(hop_first[u], hop_count[u])
+            keep = each[_in_beam(np.arctan2(gap[each, 1], gap[each, 0]),
+                                 tx_bore[aims], params.phi)]
+            u, h = u[keep], h[keep]
+        v = sender[h]
+        keys.append(np.unique(np.minimum(u, v) * order + np.maximum(u, v)))
+    key = np.unique(np.concatenate(keys))
+    return np.column_stack([nodes[key // order], nodes[key % order]])
 
 
 def _lowest_free_bit(mask: int) -> int:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -68,6 +69,19 @@ def test_sweep_rows_and_order(tmp_path):
     assert len(lines) == 5
     got = [(row.split(",")[1], row.split(",")[16]) for row in lines[1:]]
     assert [v for v, _ in got] == ["4", "4", "2", "2"]   # input value order kept
+
+
+def test_sweep_seeds_start_at_seed_option(tmp_path):
+    path, cfg = write_cfg(tmp_path, n=200)
+    outs = {}
+    for seed in (0, 5):
+        outs[seed] = tmp_path / f"sweep{seed}.csv"
+        assert main(["sweep", "--config", str(path), "--seed", str(seed),
+                     "--param", "m", "--values", "4", "--seeds", "2",
+                     "--horizon", "27", "--out", str(outs[seed])]) == 0
+    assert outs[0].read_bytes() != outs[5].read_bytes()
+    with open(outs[5], newline="") as fh:
+        assert [row["seed"] for row in csv.DictReader(fh)] == ["5", "6"]
 
 
 def test_sweep_spec_validation():

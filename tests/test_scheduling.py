@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conflict_oracle import oracle_graph
+from mcis.analytic import apply_preset
 from mcis.config import AntennaMode, validate_config
 from mcis.errors import ClusterMismatchError
 from mcis.geometry import build_cell_grid
@@ -129,16 +131,47 @@ def test_interference_graph_full_beam_matches_omni():
     assert np.array_equal(g_omni.indices, g_dir.indices)
 
 
-def test_interference_graph_fast_equals_exact():
-    cfg = make_cfg(n=600, rng_seed=3, H=6)
+def routed(cfg):
     topo = build_cell_grid(cfg)
-    table = assign_flows(topo, cfg, seed=3)
+    table = assign_flows(topo, cfg, seed=cfg.rng_seed)
     hops = [(t, r) for _, _, t, r in flow_hops(table.flows)]
-    g_fast = build_interference_graph(topo, hops, omni(), method="fast")
-    g_exact = build_interference_graph(topo, hops, omni(), method="exact")
-    assert np.array_equal(g_fast.nodes, g_exact.nodes)
-    assert np.array_equal(g_fast.indptr, g_exact.indptr)
-    assert np.array_equal(g_fast.indices, g_exact.indices)
+    return topo, hops, InterferenceParams.from_config(cfg)
+
+
+def chain_with(hops):
+    _, topo, _ = chain_topology()
+    return topo, hops, omni()
+
+
+SC_AH_BASE = dict(b=4, m=4, C=3, C_A=1, C_I=2, W=120.0, W_A=120.0, W_I=0.0, H=10)
+MCIS_DA = dict(n=2 ** 9, b=16, m=12, C=16, C_A=4, C_I=12, W=120.0, W_A=100.0,
+               W_I=10.0, H=20, antenna_mode="directional", theta=math.pi / 12,
+               phi=math.pi / 2, rng_seed=0)
+ORACLE_CASES = [
+    pytest.param(lambda: routed(make_cfg(n=600, rng_seed=3, H=6)), id="omni-n600"),
+    # The largest case: 1,846 transmitters, many hops per receiver.
+    pytest.param(lambda: routed(apply_preset(
+        validate_config(dict(SC_AH_BASE, n=2 ** 11, rng_seed=0)), "sc-ah")),
+        id="omni-sc-ah-2^11"),
+    *[pytest.param(lambda delta=delta, phi=phi: routed(make_cfg(
+        n=300, rng_seed=5, antenna_mode="directional", delta=delta, phi=phi)),
+        id=f"directional-delta{delta}-phi{label}")
+      for delta in (0.5, 1.0)
+      for phi, label in ((TWO_PI, "2pi"), (math.pi / 2, "pi/2"), (math.pi / 8, "pi/8"))],
+    pytest.param(lambda: routed(validate_config(MCIS_DA)), id="mcis-da-2^9"),
+    pytest.param(lambda: chain_with([]), id="no-hops"),
+    pytest.param(lambda: chain_with([(2, 3), (2, 1)]), id="single-transmitter"),
+]
+
+
+@pytest.mark.parametrize("instance", ORACLE_CASES)
+def test_interference_graph_equals_oracle(instance):
+    topo, hops, params = instance()
+    graph = build_interference_graph(topo, hops, params)
+    oracle = oracle_graph(topo, hops, params)
+    assert np.array_equal(graph.nodes, oracle.nodes)
+    assert np.array_equal(graph.indptr, oracle.indptr)
+    assert np.array_equal(graph.indices, oracle.indices)
 
 
 def test_shrinking_phi_never_adds_edges():
