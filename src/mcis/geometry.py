@@ -88,12 +88,6 @@ def cell_area(
     return min(max(connectivity, interference), destination)
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    row: int
-    col: int
-
-
 @dataclass
 class Topology:
     """Node/BS positions plus the two grids and the per-hop range.
@@ -106,14 +100,12 @@ class Topology:
     cell_side_count: int                # s: fine grid is s x s
     bs_cell_side_count: int             # b0
     tx_range: float                     # r(n) in unit-square lengths
-    node_cells: np.ndarray = field(init=False)   # (n, 2) int: (row, col)
     _members: list = field(init=False, repr=False)  # node ids per flattened cell
 
     def __post_init__(self) -> None:
         s = self.cell_side_count
         rows = grid_index(self.node_positions[:, 1], s)
         cols = grid_index(self.node_positions[:, 0], s)
-        self.node_cells = np.column_stack([rows, cols])
         members: list[list[int]] = [[] for _ in range(s * s)]
         flat = rows * s + cols
         for node_id, cell in enumerate(flat.tolist()):
@@ -123,11 +115,6 @@ class Topology:
     @property
     def n(self) -> int:
         return len(self.node_positions)
-
-    def cell_of(self, x: float, y: float) -> CellIndex:
-        s = self.cell_side_count
-        return CellIndex(row=int(grid_index(np.asarray([y]), s)[0]),
-                         col=int(grid_index(np.asarray([x]), s)[0]))
 
     def cell_members(self, row: int, col: int) -> list[int]:
         return self._members[row * self.cell_side_count + col]

@@ -4,6 +4,15 @@ A flow whose destination lies within H hops (distance at most H * r(n)) runs
 in ad hoc mode along the cells crossed by its source-destination segment;
 everything else goes uplink to the nearest base station, across the wire,
 and downlink from the destination's base station.
+
+One feasibility rule picks relays: a candidate must not be the source, the
+destination or an earlier relay, must lie within r(n) of the current node,
+strictly ahead of it along the segment, and inside the corridor of LANES
+flanking cells each side of the line.  Each corridor cell offers one feasible
+member, by one of two rules: the member closest to the line (lowest id on
+ties) for a single path, or the first from a per-cell round-robin pointer
+when `assign_flows` balances relay load; the walk commits the offer with the
+most forward progress.
 """
 
 from __future__ import annotations
@@ -66,127 +75,50 @@ def decide_mode(src_pos, dst_pos, H: int, tx_range: float) -> Mode:
     return Mode.INFRA
 
 
-class _NearestToSegment:
-    """Relay policy: the feasible member closest to the S-D line, lowest id on ties."""
-
-    def __init__(self, topology: Topology):
-        self.members = topology._members
-        self.s = topology.cell_side_count
-
-    def pick(self, cell, pos, cur, cur_t, r2, seg, banned):
-        sx, sy, ux, uy, inv_l2, corridor = seg
-        best = None
-        best_key = None
-        for node in self.members[cell]:
-            if node in banned:
-                continue
-            px, py = pos[node]
-            ddx = px - cur[0]
-            ddy = py - cur[1]
-            if ddx * ddx + ddy * ddy > r2:
-                continue
-            t = ((px - sx) * ux + (py - sy) * uy) * inv_l2
-            if t <= cur_t + 1e-12:
-                continue
-            # Cross product with the direction: perpendicular offset * |SD|.
-            perp = abs((px - sx) * uy - (py - sy) * ux)
-            if perp > corridor:
-                continue
-            key = (perp, node)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (node, t)
-        return best
-
-    def commit(self, cell, node):
-        pass
+# Flanking cell lanes the relay corridor takes on each side of the S-D line.
+LANES = 1
 
 
-class _RoundRobin:
-    """Relay policy: rotate through each cell's members to balance load."""
-
-    def __init__(self, topology: Topology):
-        self.members = topology._members
-        self.s = topology.cell_side_count
-        self.pointers = [0] * (self.s * self.s)
-
-    def pick(self, cell, pos, cur, cur_t, r2, seg, banned):
-        sx, sy, ux, uy, inv_l2, corridor = seg
-        nodes = self.members[cell]
-        count = len(nodes)
-        start = self.pointers[cell]
-        for offset in range(count):
-            node = nodes[(start + offset) % count]
-            if node in banned:
-                continue
-            px, py = pos[node]
-            ddx = px - cur[0]
-            ddy = py - cur[1]
-            if ddx * ddx + ddy * ddy > r2:
-                continue
-            t = ((px - sx) * ux + (py - sy) * uy) * inv_l2
-            if t <= cur_t + 1e-12:
-                continue
-            if abs((px - sx) * uy - (py - sy) * ux) > corridor:
-                continue
-            return (node, t)
-        return None
-
-    def commit(self, cell, node):
-        nodes = self.members[cell]
-        self.pointers[cell] = (nodes.index(node) + 1) % len(nodes)
-
-
-def _corridor_cells(x0, y0, x1, y1, s, lanes=1):
-    """Cells along the segment plus `lanes` flanking lanes each side, ordered
-    by progress along the driving axis.  Returns flat cell ids."""
-    dx = x1 - x0
-    dy = y1 - y0
-    offsets = range(-lanes, lanes + 1)
+def _corridor_cells(x0, y0, x1, y1, s):
+    """Cells along the segment plus LANES flanking lanes each side, ordered by
+    progress along the driving axis (x unless the segment is steeper than
+    45 degrees).  Returns flat cell ids."""
+    steep = abs(y1 - y0) > abs(x1 - x0)
+    if steep:   # drive along y: the same walk with the axes swapped
+        x0, y0, x1, y1 = y0, x0, y1, x1
+    along, across = (s, 1) if steep else (1, s)     # flat-id strides
+    slope = (y1 - y0) / (x1 - x0) if x1 != x0 else 0.0
+    lo, hi = min(x0, x1), max(x0, x1)
+    k0 = min(int(x0 * s), s - 1)
+    k1 = min(int(x1 * s), s - 1)
+    step = 1 if k1 >= k0 else -1
     cells: list[int] = []
-    if abs(dx) >= abs(dy):
-        k0 = min(int(x0 * s), s - 1)
-        k1 = min(int(x1 * s), s - 1)
-        step = 1 if k1 >= k0 else -1
-        slope = dy / dx if dx else 0.0
-        for k in range(k0, k1 + step, step):
-            mid_x = (k + 0.5) / s
-            mid_x = min(max(mid_x, min(x0, x1)), max(x0, x1))
-            cross = y0 + slope * (mid_x - x0)
-            c = min(int(cross * s), s - 1)
-            for off in offsets:
-                lane = c + off
-                if 0 <= lane < s:
-                    cells.append(lane * s + k)
-    else:
-        k0 = min(int(y0 * s), s - 1)
-        k1 = min(int(y1 * s), s - 1)
-        step = 1 if k1 >= k0 else -1
-        slope = dx / dy if dy else 0.0
-        for k in range(k0, k1 + step, step):
-            mid_y = (k + 0.5) / s
-            mid_y = min(max(mid_y, min(y0, y1)), max(y0, y1))
-            cross = x0 + slope * (mid_y - y0)
-            c = min(int(cross * s), s - 1)
-            for off in offsets:
-                lane = c + off
-                if 0 <= lane < s:
-                    cells.append(k * s + lane)
+    for k in range(k0, k1 + step, step):
+        mid = min(max((k + 0.5) / s, lo), hi)
+        c = min(int((y0 + slope * (mid - x0)) * s), s - 1)
+        for lane in range(c - LANES, c + LANES + 1):
+            if 0 <= lane < s:
+                cells.append(k * along + lane * across)
     return cells
 
 
-def _walk_relays(src, dst, topology, max_hops, policy, pos, lanes=1):
+def _walk_relays(src, dst, topology, max_hops, pos, pointers=None):
     """Greedy relay chain through the cells flanking the S-D segment.
 
-    Each step commits the feasible candidate (within tx_range, ahead along the
-    segment, within `lanes` cells of the line) that makes the most forward
-    progress; cells without a usable candidate are passed over.  Raises
-    EmptyCellError when no forward relay is reachable and
-    HopBudgetExceededError past max_hops.
+    A node is a feasible next relay when it is not banned (source,
+    destination, earlier relays), lies within tx_range of the current node,
+    strictly ahead of it along the segment, and inside the corridor of LANES
+    cells each side of the line.  Each cell offers its feasible member
+    closest to the line (lowest id on ties) or, given per-cell round-robin
+    `pointers`, its first feasible member from the pointer on.  Each step
+    commits the offer with the most forward progress, then moves that cell's
+    pointer past the relay.  Raises EmptyCellError when no forward relay is
+    reachable and HopBudgetExceededError past max_hops.
     """
     r = topology.tx_range
     r2 = r * r
     s = topology.cell_side_count
+    members = topology._members
     side = 1.0 / s
     sx, sy = pos[src]
     dx_, dy_ = pos[dst]
@@ -197,56 +129,76 @@ def _walk_relays(src, dst, topology, max_hops, policy, pos, lanes=1):
         return []
     inv_l2 = 1.0 / dist2
     seg_len = math.sqrt(dist2)
-    corridor = (lanes + 0.5) * side * seg_len   # flanking-lane reach x |SD|
-    seg = (sx, sy, ddx, ddy, inv_l2, corridor)
-    cells = _corridor_cells(sx, sy, dx_, dy_, s, lanes)
+    corridor = (LANES + 0.5) * side * seg_len   # flanking-lane reach x |SD|
+    cells = _corridor_cells(sx, sy, dx_, dy_, s)
     # Projection of each cell's center along the segment, for the scan window.
-    proj = []
-    for cell in cells:
-        cx = (cell % s + 0.5) * side
-        cy = (cell // s + 0.5) * side
-        proj.append(((cx - sx) * ddx + (cy - sy) * ddy) / seg_len)
+    proj = [(((cell % s + 0.5) * side - sx) * ddx
+             + ((cell // s + 0.5) * side - sy) * ddy) / seg_len for cell in cells]
     # Cells past this projection gap cannot hold a node within range; the
     # 2.8-side slack covers center-to-corner plus same-step lane dips.
     window = r + 2.8 * side
     banned = {src, dst}
     relays: list[int] = []
-    cur = (sx, sy)
+    cur_x, cur_y = sx, sy
     cur_t = 0.0
     scan_from = 0
     n_cells = len(cells)
     while True:
-        cdx = dx_ - cur[0]
-        cdy = dy_ - cur[1]
+        cdx = dx_ - cur_x
+        cdy = dy_ - cur_y
         if cdx * cdx + cdy * cdy <= r2:
             if len(relays) + 1 > max_hops:
                 raise HopBudgetExceededError(
-                    f"flow {src}->{dst} needs {len(relays) + 1} hops > H={max_hops}"
-                )
+                    f"flow {src}->{dst} needs {len(relays) + 1} hops > H={max_hops}")
             return relays
         if len(relays) >= max_hops:
-            raise HopBudgetExceededError(
-                f"flow {src}->{dst} exceeds H={max_hops} hops"
-            )
+            raise HopBudgetExceededError(f"flow {src}->{dst} exceeds H={max_hops} hops")
         cur_proj = cur_t * seg_len
-        best = None
-        best_idx = scan_from
+        best = None     # (t, node, cell)
         for idx in range(scan_from, n_cells):
             if proj[idx] - cur_proj > window:
                 break
-            cand = policy.pick(cells[idx], pos, cur, cur_t, r2, seg, banned)
-            if cand is not None and (best is None or cand[1] > best[1]):
-                best = cand
-                best_idx = idx
+            cell = cells[idx]
+            nodes = members[cell]
+            if not nodes:
+                continue
+            if pointers is not None and pointers[cell]:
+                nodes = nodes[pointers[cell]:] + nodes[:pointers[cell]]
+            # Members are in id order, so without pointers the first of
+            # equally close candidates has the lowest id.
+            offer = None
+            for node in nodes:
+                if node in banned:
+                    continue
+                px, py = pos[node]
+                ex = px - cur_x
+                ey = py - cur_y
+                if ex * ex + ey * ey > r2:
+                    continue
+                t = ((px - sx) * ddx + (py - sy) * ddy) * inv_l2
+                if t <= cur_t + 1e-12:
+                    continue
+                # Cross product with the direction: perpendicular offset * |SD|.
+                perp = abs((px - sx) * ddy - (py - sy) * ddx)
+                if perp > corridor:
+                    continue
+                if offer is None or perp < offer_perp:
+                    offer = (t, node, cell)
+                    offer_perp = perp
+                    if pointers is not None:
+                        break
+            if offer is not None and (best is None or offer[0] > best[0]):
+                best = offer
         if best is None:
             raise EmptyCellError(
-                f"flow {src}->{dst}: no reachable forward relay from t={cur_t:.3f}"
-            )
-        node, t = best
-        policy.commit(cells[best_idx], node)
+                f"flow {src}->{dst}: no reachable forward relay from t={cur_t:.3f}")
+        t, node, cell = best
+        if pointers is not None:
+            nodes = members[cell]
+            pointers[cell] = (nodes.index(node) + 1) % len(nodes)
         relays.append(node)
         banned.add(node)
-        cur = pos[node]
+        cur_x, cur_y = pos[node]
         cur_t = t
         # Never rescan cells that ended behind the committed relay's window.
         while scan_from < n_cells and proj[scan_from] < t * seg_len - window:
@@ -255,11 +207,11 @@ def _walk_relays(src, dst, topology, max_hops, policy, pos, lanes=1):
 
 def build_adhoc_path(src: int, dst: int, topology: Topology,
                      max_hops: int | None = None) -> list:
-    """Relay sequence for one ad hoc flow, nearest-to-segment policy."""
+    """Relay sequence for one ad hoc flow, each relay closest to the line."""
     pos = topology.node_positions.tolist()
     if max_hops is None:
         max_hops = topology.n  # effectively unbounded
-    return _walk_relays(src, dst, topology, max_hops, _NearestToSegment(topology), pos)
+    return _walk_relays(src, dst, topology, max_hops, pos)
 
 
 def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int,
@@ -281,7 +233,7 @@ def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int,
     pos = topology.node_positions.tolist()
     reach = cfg.H * topology.tx_range
     reach2 = reach * reach
-    policy = _RoundRobin(topology)
+    pointers = [0] * (topology.cell_side_count ** 2)
     b0 = topology.bs_cell_side_count
     bs_cell = (grid_index(topology.node_positions[:, 1], b0) * b0
                + grid_index(topology.node_positions[:, 0], b0)).tolist()
@@ -300,7 +252,7 @@ def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int,
                     eligible_adhoc=eligible)
         if eligible and build_paths:
             try:
-                flow.adhoc_path = _walk_relays(src, dst, topology, cfg.H, policy, pos)
+                flow.adhoc_path = _walk_relays(src, dst, topology, cfg.H, pos, pointers)
             except (EmptyCellError, HopBudgetExceededError):
                 flow.mode = Mode.INFRA
                 flow.fallback = True
@@ -320,7 +272,7 @@ def lines_through_cell(table: FlowTable, cell, topology: Topology) -> int:
     """Exact count of ad hoc S-D segments intersecting the cell's closed square."""
     s = topology.cell_side_count
     side = 1.0 / s
-    row, col = (cell.row, cell.col) if hasattr(cell, "row") else cell
+    row, col = cell
     left = col * side
     bottom = row * side
     pos = topology.node_positions

@@ -46,9 +46,7 @@ def _covers(origin, boresight: float, width: float, target) -> bool:
 
 def interferes(tx_a, rx_a, tx_b, params: InterferenceParams, *,
                tx_b_boresight: float | None = None,
-               rx_a_boresight: float | None = None,
-               tx_b_beamwidth: float | None = None,
-               rx_a_beamwidth: float | None = None) -> bool:
+               rx_a_boresight: float | None = None) -> bool:
     """Would tx_b's same-channel transmission corrupt the tx_a -> rx_a link?
 
     Omni: dist(tx_b, rx_a) < (1 + delta) * dist(tx_a, rx_a).  Directional
@@ -66,10 +64,8 @@ def interferes(tx_a, rx_a, tx_b, params: InterferenceParams, *,
         tx_b_boresight = math.atan2(rx_a[1] - tx_b[1], rx_a[0] - tx_b[0])
     if rx_a_boresight is None:
         rx_a_boresight = math.atan2(tx_a[1] - rx_a[1], tx_a[0] - rx_a[0])
-    tx_width = params.phi if tx_b_beamwidth is None else tx_b_beamwidth
-    rx_width = params.phi if rx_a_beamwidth is None else rx_a_beamwidth
-    return (_covers(tx_b, tx_b_boresight, tx_width, rx_a)
-            and _covers(rx_a, rx_a_boresight, rx_width, tx_b))
+    return (_covers(tx_b, tx_b_boresight, params.phi, rx_a)
+            and _covers(rx_a, rx_a_boresight, params.phi, tx_b))
 
 
 @dataclass
@@ -106,32 +102,18 @@ class InterferenceGraph:
         return iv in self.neighbors(iu)
 
     @classmethod
-    def from_edge_array(cls, nodes: np.ndarray, pairs: np.ndarray) -> "InterferenceGraph":
-        """Build from an (m, 2) array of node-id pairs (deduplicated here)."""
-        nodes = np.asarray(nodes)
+    def from_keys(cls, nodes: np.ndarray, key: np.ndarray) -> "InterferenceGraph":
+        """Build from the sorted, distinct edge keys u * order + v, u < v,
+        where u and v are positions into `nodes`.  Row i lists its higher
+        neighbours, then its lower ones, each in ascending order."""
         order = len(nodes)
-        if len(pairs) == 0:
-            return cls(nodes=nodes,
-                       indptr=np.zeros(order + 1, dtype=np.int64),
-                       indices=np.empty(0, dtype=np.int64))
-        a = np.searchsorted(nodes, pairs[:, 0])
-        b = np.searchsorted(nodes, pairs[:, 1])
-        keep = a != b
-        a, b = a[keep], b[keep]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        key = np.unique(lo.astype(np.int64) * order + hi)
-        lo = key // order
-        hi = key % order
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order_idx = np.argsort(src, kind="stable")
-        src = src[order_idx]
-        dst = dst[order_idx]
+        lo, hi = np.divmod(key, order)
+        rows = np.concatenate([lo, hi])
+        by_row = np.argsort(rows, kind="stable")
         indptr = np.zeros(order + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(nodes=nodes, indptr=indptr, indices=dst)
+        np.cumsum(np.bincount(rows, minlength=order), out=indptr[1:])
+        return cls(nodes=nodes, indptr=indptr,
+                   indices=np.concatenate([hi, lo])[by_row])
 
 
 def _hop_arrays(hops) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +154,15 @@ def build_interference_graph(topology: Topology, hops,
     tx, rx = _hop_arrays(hops)
     nodes = np.unique(tx)
     if len(nodes) == 0:
-        pairs = np.empty((0, 2), dtype=np.int64)
+        key = np.empty(0, dtype=np.int64)
     else:
-        pairs = _conflict_pairs(topology.node_positions, tx, rx, nodes, params)
-    return InterferenceGraph.from_edge_array(nodes, pairs)
+        key = _conflict_keys(topology.node_positions, tx, rx, nodes, params)
+    return InterferenceGraph.from_keys(nodes, key)
 
 
-def _conflict_pairs(pos, tx, rx, nodes, params) -> np.ndarray:
-    """(u, v) node-id pairs, u < v, of the conflict graph over `nodes`."""
+def _conflict_keys(pos, tx, rx, nodes, params) -> np.ndarray:
+    """Sorted, distinct keys u * len(nodes) + v, u < v, of the conflict
+    graph's edges; u and v are positions into `nodes`."""
     order = len(nodes)
     # Distinct hops, grouped by sender (a position in `nodes`).
     htx, hrx = np.divmod(np.unique(tx * len(pos) + rx), len(pos))
@@ -233,8 +216,7 @@ def _conflict_pairs(pos, tx, rx, nodes, params) -> np.ndarray:
             u, h = u[keep], h[keep]
         v = sender[h]
         keys.append(np.unique(np.minimum(u, v) * order + np.maximum(u, v)))
-    key = np.unique(np.concatenate(keys))
-    return np.column_stack([nodes[key // order], nodes[key % order]])
+    return np.unique(np.concatenate(keys))
 
 
 def _lowest_free_bit(mask: int) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import bs_concurrency
-from .config import AntennaMode, NetworkConfig
+from .config import NetworkConfig
 from .errors import HorizonTooShortError, NoPacketsError, ScheduleInvalidError
 from .geometry import build_cell_grid
 from .routing import FlowTable, Mode, adhoc_transmitter_count, assign_flows
@@ -211,11 +211,7 @@ def _play_infra(cfg: NetworkConfig, table: FlowTable, bs_schedule,
     delivered = np.zeros(n_flows, dtype=np.float64)
     if cfg.W_I <= 0.0:
         return delivered
-    if cfg.antenna_mode is AntennaMode.DIRECTIONAL:
-        m_eff = bs_concurrency(cfg)                  # sectors x channels
-    else:
-        m_eff = cfg.m
-    slot_budget = (min(cfg.C_I, m_eff) / cfg.C_I) * cfg.W_I   # bits per active slot
+    slot_budget = (min(cfg.C_I, bs_concurrency(cfg)) / cfg.C_I) * cfg.W_I   # bits per active slot
 
     flows_of_bs: dict[int, list[int]] = {}
     for i, f in enumerate(table.flows):
@@ -257,7 +253,7 @@ def _play_infra(cfg: NetworkConfig, table: FlowTable, bs_schedule,
     return delivered
 
 
-def measure_throughput(report: MetricsReport, cfg: NetworkConfig) -> dict:
+def measure_throughput(report: MetricsReport) -> dict:
     """Per-node and per-mode throughput from a completed run."""
     return {
         "lambda_measured": report.per_node_throughput,

@@ -66,4 +66,6 @@ def oracle_graph(topology, hops, params) -> InterferenceGraph:
     """The conflict graph built by the pairwise scan."""
     tx, rx = _hop_arrays(hops)
     pairs = conflict_pairs_exact(topology.node_positions, tx, rx, params)
-    return InterferenceGraph.from_edge_array(np.unique(tx), pairs)
+    nodes = np.unique(tx)
+    u, v = np.searchsorted(nodes, pairs.T)
+    return InterferenceGraph.from_keys(nodes, np.unique(u * len(nodes) + v))

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from mcis.analytic import apply_preset
 from mcis.config import validate_config
 from mcis.errors import EmptyCellError, HopBudgetExceededError
 from mcis.geometry import build_cell_grid
@@ -11,7 +13,7 @@ from mcis.routing import (
     Flow,
     FlowTable,
     Mode,
-    _RoundRobin,
+    _corridor_cells,
     _walk_relays,
     adhoc_transmitter_count,
     assign_flows,
@@ -95,17 +97,91 @@ def test_round_robin_balances_relay_load():
                  [0.40, 0.60], [0.40, 0.62], [0.40, 0.58],
                  [0.68, 0.60], [0.68, 0.62], [0.68, 0.58]]
     cfg, topo = fixture_topology(positions)
-    policy = _RoundRobin(topo)
+    pointers = [0] * topo.cell_side_count ** 2
     pos = topo.node_positions.tolist()
     loads = {i: 0 for i in range(2, 8)}
     for _ in range(9):
-        for relay in _walk_relays(0, 1, topo, 3, policy, pos):
+        for relay in _walk_relays(0, 1, topo, 3, pos, pointers):
             loads[relay] += 1
     first = [loads[i] for i in (2, 3, 4)]
     second = [loads[i] for i in (5, 6, 7)]
     assert max(first) - min(first) <= 1
     assert max(second) - min(second) <= 1
     assert sum(first) == 9 and sum(second) == 9
+
+
+def route_digest(table):
+    """SHA-256 over every flow's mode, relay path, BS ids and fallback flag."""
+    digest = hashlib.sha256()
+    for f in table.flows:
+        digest.update(repr((f.src, f.dst, f.mode.value, list(f.adhoc_path),
+                            f.uplink_bs, f.downlink_bs, f.fallback)).encode())
+    return digest.hexdigest()
+
+
+ROUTE_CASES = {
+    "sc-ah n=2^10": (apply_preset(validate_config(dict(
+        n=2 ** 10, b=4, m=4, C=3, C_A=1, C_I=2, W=120.0, W_A=120.0, W_I=0.0,
+        H=10, rng_seed=11)), "sc-ah"),
+        "37412aa924dc96e76f78e666089f4cdc05d52520a8836ad37021dc483b84274d"),
+    "mcis-da n=2^9": (validate_config(dict(
+        n=2 ** 9, b=16, m=12, C=16, C_A=4, C_I=12, W=120.0, W_A=100.0, W_I=10.0,
+        H=20, antenna_mode="directional", theta=math.pi / 12, phi=math.pi / 2,
+        rng_seed=12)),
+        "53e3679f6ddab6d1b7fe07b27e4253f15ba0e8babc4d01d58a7653b252d63bd1"),
+    "mcis n=2^12": (validate_config(dict(
+        n=2 ** 12, b=16, m=4, C=6, C_A=4, C_I=2, W=120.0, W_A=100.0, W_I=10.0,
+        H=10, rng_seed=13)),
+        "c8551db67330757dfc6c015c5431ef219305de63ffe80e0d80c8bbf5c956096c"),
+}
+
+
+@pytest.mark.parametrize("label", ROUTE_CASES)
+def test_routes_pinned(label):
+    # Digests recorded from the two-policy relay walk this one replaced.
+    cfg, expected = ROUTE_CASES[label]
+    table = assign_flows(build_cell_grid(cfg), cfg, seed=cfg.rng_seed)
+    assert route_digest(table) == expected
+
+
+def mirror_cells(cells, s):
+    return [(c % s) * s + c // s for c in cells]
+
+
+@pytest.mark.parametrize("seg,s", [
+    ((0.10, 0.30, 0.90, 0.55), 10),     # shallow
+    ((0.30, 0.05, 0.62, 0.97), 10),     # steep
+    ((0.90, 0.55, 0.10, 0.30), 10),     # shallow, reversed
+    ((0.62, 0.97, 0.30, 0.05), 7),      # steep, reversed
+    ((0.00, 0.00, 1.00, 0.40), 8),      # from one corner to the far edge
+    ((0.10, 0.00, 0.90, 0.00), 8),      # along the bottom border
+    ((1.00, 0.20, 0.95, 1.00), 6),      # from the right border, steep
+    ((0.42, 0.42, 0.43, 0.47), 5),      # inside one cell
+])
+def test_corridor_cells_mirror_across_diagonal(seg, s):
+    x0, y0, x1, y1 = seg
+    cells = _corridor_cells(x0, y0, x1, y1, s)
+    assert _corridor_cells(y0, x0, y1, x1, s) == mirror_cells(cells, s)
+    assert len(set(cells)) == len(cells)
+    assert all(0 <= c < s * s for c in cells)
+
+
+@pytest.mark.parametrize("seg", [(0.125, 0.25, 0.625, 0.75),
+                                 (0.625, 0.75, 0.125, 0.25),
+                                 (0.875, 0.0, 0.0, 0.875)])
+def test_corridor_cells_45_degrees_drive_along_x(seg):
+    # At exactly 45 degrees both the segment and its mirror step column by
+    # column, three lanes of rows per column away from the border.
+    s = 8
+    x0, y0, x1, y1 = seg
+    for cells in (_corridor_cells(x0, y0, x1, y1, s), _corridor_cells(y0, x0, y1, x1, s)):
+        cols = [c % s for c in cells]
+        step = 1 if cols[-1] >= cols[0] else -1
+        assert cols == sorted(cols, reverse=step < 0)
+        for col in set(cols):
+            rows = [c // s for c in cells if c % s == col]
+            assert rows == list(range(rows[0], rows[0] + len(rows)))
+            assert len(rows) == 3 or 0 in rows or s - 1 in rows
 
 
 def test_assign_flows_deterministic_and_total():

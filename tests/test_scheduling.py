@@ -228,8 +228,9 @@ def test_edge_color_proper_and_bounded(seed):
 
 def graph_from_edges(n, edges):
     from mcis.scheduling import InterferenceGraph
-    nodes = np.arange(n)
-    return InterferenceGraph.from_edge_array(nodes, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    key = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    return InterferenceGraph.from_keys(np.arange(n), key)
 
 
 def test_vertex_color_fixtures():

@@ -66,7 +66,7 @@ def test_zero_demand_run_is_all_zeros():
     rep = run(cfg, 1, 27, demand=0.0)
     assert rep.per_node_throughput == 0.0
     assert rep.T_A == 0.0 and rep.T_I == 0.0
-    assert measure_throughput(rep, cfg) == {
+    assert measure_throughput(rep) == {
         "lambda_measured": 0.0, "T_A": 0.0, "T_I": 0.0}
     with pytest.raises(NoPacketsError):
         measure_delay(rep)
