@@ -88,7 +88,11 @@ def cmd_sweep(args) -> int:
 
 
 def _read_csv_columns(path: str, names: list) -> list:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV file {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         headers = reader.fieldnames or []
         for name in names:

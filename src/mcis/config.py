@@ -82,6 +82,8 @@ class NetworkConfig:
                 raise BadBeamwidthError(f"{name}={width} outside (0, 2*pi]")
         if self.r_factor < 1.0:
             raise ConfigError(f"r_factor must be >= 1, got {self.r_factor}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def with_overrides(self, **overrides) -> "NetworkConfig":
         """Return a new validated config with some fields replaced."""
@@ -153,8 +155,12 @@ def parse_config_text(text: str) -> dict:
 
 def load_config_file(path) -> NetworkConfig:
     """Read and validate a flat key = value config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_config(parse_config_text(fh.read()))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    return validate_config(parse_config_text(text))
 
 
 def dump_config(cfg: NetworkConfig) -> str:

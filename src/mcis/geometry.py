@@ -100,24 +100,28 @@ class Topology:
     cell_side_count: int                # s: fine grid is s x s
     bs_cell_side_count: int             # b0
     tx_range: float                     # r(n) in unit-square lengths
-    _members: list = field(init=False, repr=False)  # node ids per flattened cell
+    # CSR cell-to-members index over flattened cells (row * s + col): the
+    # members of cell c are cell_nodes[cell_start[c]:cell_start[c + 1]], in
+    # id order.
+    cell_start: np.ndarray = field(init=False, repr=False)
+    cell_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         s = self.cell_side_count
         rows = grid_index(self.node_positions[:, 1], s)
         cols = grid_index(self.node_positions[:, 0], s)
-        members: list[list[int]] = [[] for _ in range(s * s)]
         flat = rows * s + cols
-        for node_id, cell in enumerate(flat.tolist()):
-            members[cell].append(node_id)
-        self._members = members
+        self.cell_nodes = np.argsort(flat, kind="stable")
+        self.cell_start = np.zeros(s * s + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=s * s), out=self.cell_start[1:])
 
     @property
     def n(self) -> int:
         return len(self.node_positions)
 
     def cell_members(self, row: int, col: int) -> list[int]:
-        return self._members[row * self.cell_side_count + col]
+        cell = row * self.cell_side_count + col
+        return self.cell_nodes[self.cell_start[cell]:self.cell_start[cell + 1]].tolist()
 
     def bs_cell_of(self, x: float, y: float) -> int:
         """Flattened index of the BS-cell (= BS id) containing the point."""

@@ -31,6 +31,8 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one value")
         if self.seeds < 1:
             raise ConfigError("sweep needs at least one seed")
+        if self.k8 < 0:
+            raise ConfigError(f"k8 must be >= 0, got {self.k8}")
 
 
 def point_config(base: NetworkConfig, spec: SweepSpec, value) -> NetworkConfig:

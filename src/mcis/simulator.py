@@ -21,7 +21,7 @@ import numpy as np
 
 from .analytic import bs_concurrency
 from .config import NetworkConfig
-from .errors import HorizonTooShortError, NoPacketsError, ScheduleInvalidError
+from .errors import ConfigError, HorizonTooShortError, NoPacketsError, ScheduleInvalidError
 from .geometry import build_cell_grid
 from .routing import FlowTable, Mode, adhoc_transmitter_count, assign_flows
 from .scheduling import (
@@ -71,6 +71,8 @@ def run(cfg: NetworkConfig, seed: int, horizon: int, *,
     filter); the schedule itself still carries every flow.
     Raises ScheduleInvalidError if the auditor finds any violation.
     """
+    if k8 < 0:
+        raise ConfigError(f"k8 must be >= 0, got {k8}")
     frame = k8 + 1
     warmup = warmup_superframes * frame
     if horizon < frame or horizon <= warmup:

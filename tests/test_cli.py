@@ -190,3 +190,37 @@ def test_run_sweep_failure_names_point(tmp_path):
     # which point died.
     with pytest.raises(McisError, match="n=3 seed=0"):
         run_sweep(cfg, spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--k8", "-1"],
+    ["sweep", "--k8", "-1", "--param", "m", "--values", "4"],
+], ids=["seed", "k8", "sweep-k8"])
+def test_negative_seed_and_k8_exits_1(tmp_path, capsys, argv):
+    path, cfg = write_cfg(tmp_path, n=100)
+    argv = [argv[0], "--config", str(path), "--horizon", "27", *argv[1:]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_negative_rng_seed_in_config_exits_1(tmp_path, capsys):
+    path, cfg = write_cfg(tmp_path, n=100)
+    path.write_text(path.read_text().replace("rng_seed = 0", "rng_seed = -1"))
+    assert main(["simulate", "--config", str(path), "--horizon", "27"]) == 1
+    assert "rng_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--config", "{missing}"],
+    ["simulate", "--config", "{missing}"],
+    ["fit", "--csv", "{missing}", "--x", "x", "--measured", "m", "--predicted", "p"],
+    ["plot", "--csv", "{missing}", "--x", "x", "--y", "y", "--out", "{out}"],
+], ids=["classify", "simulate", "fit", "plot"])
+def test_missing_input_file_exits_1(tmp_path, capsys, argv):
+    missing = tmp_path / "absent.txt"
+    argv = [a.format(missing=missing, out=tmp_path / "p.svg") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err and err.count("\n") == 1

@@ -76,6 +76,8 @@ def test_h_and_delta_bounds():
         validate_config(base_raw(delta=0.0))
     with pytest.raises(ConfigError):
         validate_config(base_raw(r_factor=0.5))
+    with pytest.raises(ConfigError, match="rng_seed"):
+        validate_config(base_raw(rng_seed=-1))
 
 
 def test_parse_config_text_comments_and_errors():

@@ -3,18 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from routing_oracle import corridor_cells, walk_relays
 
 from mcis.analytic import apply_preset
 from mcis.config import validate_config
-from mcis.errors import EmptyCellError, HopBudgetExceededError
+from mcis.errors import EmptyCellError, HopBudgetExceededError, McisError
 from mcis.geometry import build_cell_grid
 from mcis.routing import (
     FLOW_CSV_HEADER,
     Flow,
     FlowTable,
     Mode,
-    _corridor_cells,
-    _walk_relays,
+    _corridors,
+    _walk_flows,
     adhoc_transmitter_count,
     assign_flows,
     build_adhoc_path,
@@ -93,18 +94,21 @@ def test_nearest_to_segment_tie_breaks_low_id():
 
 
 def test_round_robin_balances_relay_load():
-    positions = [[0.05, 0.60], [0.95, 0.60],
-                 [0.40, 0.60], [0.40, 0.62], [0.40, 0.58],
-                 [0.68, 0.60], [0.68, 0.62], [0.68, 0.58]]
+    # Nine flows from sources 0..8 to node 9 cross the same two relay cells
+    # of three members each; a cell offers its first member counting from
+    # position src mod 3, so each member relays three of them.
+    sources = [[0.10, 0.56 + 0.01 * i] for i in range(9)]
+    positions = sources + [[0.95, 0.60],
+                           [0.40, 0.60], [0.40, 0.62], [0.40, 0.58],
+                           [0.68, 0.60], [0.68, 0.62], [0.68, 0.58]]
     cfg, topo = fixture_topology(positions)
-    pointers = [0] * topo.cell_side_count ** 2
-    pos = topo.node_positions.tolist()
-    loads = {i: 0 for i in range(2, 8)}
-    for _ in range(9):
-        for relay in _walk_relays(0, 1, topo, 3, pos, pointers):
+    loads = {i: 0 for i in range(10, 16)}
+    routes = _walk_flows(topo, np.arange(9), np.full(9, 9), 3, rotate=True)
+    for route in routes:
+        for relay in route:
             loads[relay] += 1
-    first = [loads[i] for i in (2, 3, 4)]
-    second = [loads[i] for i in (5, 6, 7)]
+    first = [loads[i] for i in (10, 11, 12)]
+    second = [loads[i] for i in (13, 14, 15)]
     assert max(first) - min(first) <= 1
     assert max(second) - min(second) <= 1
     assert sum(first) == 9 and sum(second) == 9
@@ -123,25 +127,104 @@ ROUTE_CASES = {
     "sc-ah n=2^10": (apply_preset(validate_config(dict(
         n=2 ** 10, b=4, m=4, C=3, C_A=1, C_I=2, W=120.0, W_A=120.0, W_I=0.0,
         H=10, rng_seed=11)), "sc-ah"),
-        "37412aa924dc96e76f78e666089f4cdc05d52520a8836ad37021dc483b84274d"),
+        "5789981908d0353011afab1cd11a2d55254fbd8fb2d37e71b32618be8edef084"),
     "mcis-da n=2^9": (validate_config(dict(
         n=2 ** 9, b=16, m=12, C=16, C_A=4, C_I=12, W=120.0, W_A=100.0, W_I=10.0,
         H=20, antenna_mode="directional", theta=math.pi / 12, phi=math.pi / 2,
         rng_seed=12)),
-        "53e3679f6ddab6d1b7fe07b27e4253f15ba0e8babc4d01d58a7653b252d63bd1"),
+        "aa8e2c013be1582f2eaee9f14100685c66af54edc8c26372247a1dd46a37b11f"),
     "mcis n=2^12": (validate_config(dict(
         n=2 ** 12, b=16, m=4, C=6, C_A=4, C_I=2, W=120.0, W_A=100.0, W_I=10.0,
         H=10, rng_seed=13)),
-        "c8551db67330757dfc6c015c5431ef219305de63ffe80e0d80c8bbf5c956096c"),
+        "f0ff0f579d2bce59e38deec402da2d0167d380dc34fcd062ad8be3845a9714d2"),
 }
 
 
 @pytest.mark.parametrize("label", ROUTE_CASES)
 def test_routes_pinned(label):
-    # Digests recorded from the two-policy relay walk this one replaced.
+    # Digests recorded when cells began to offer by the stateless rotation
+    # (first feasible member from position src mod size) in place of
+    # per-cell round-robin pointers.
     cfg, expected = ROUTE_CASES[label]
     table = assign_flows(build_cell_grid(cfg), cfg, seed=cfg.rng_seed)
     assert route_digest(table) == expected
+
+
+def walking_flows(cfg, topo):
+    """(src, dst) of every eligible flow whose destination is out of range."""
+    table = assign_flows(topo, cfg, seed=cfg.rng_seed, build_paths=False)
+    pos = topo.node_positions
+    return [(f.src, f.dst) for f in table.flows
+            if f.eligible_adhoc and math.dist(pos[f.src], pos[f.dst]) > topo.tx_range]
+
+
+NEAREST_DIGESTS = {
+    "sc-ah n=2^10": "73c9f43d183ca563362451e2c9a8bb704a73937ea54557c1512691b66628e9ea",
+    "mcis-da n=2^9": "44f584fc7d3fe0bf804bd0b73af0794ea778965beeae382c90238b14ef1d48f8",
+    "mcis n=2^12": "f082eb5dc54566423b9dfa54b650659b5c6bdb7147c9239336d4374318e34ec1",
+}
+
+
+@pytest.mark.parametrize("label", ROUTE_CASES)
+def test_nearest_paths_pinned(label):
+    # Digests recorded from the per-flow walk the batched one replaced: the
+    # feasibility rule and the nearest-to-line offer are unchanged.
+    cfg, _ = ROUTE_CASES[label]
+    topo = build_cell_grid(cfg)
+    digest = hashlib.sha256()
+    for src, dst in walking_flows(cfg, topo):
+        try:
+            route = build_adhoc_path(src, dst, topo, max_hops=cfg.H)
+        except (EmptyCellError, HopBudgetExceededError) as exc:
+            route = type(exc).__name__
+        digest.update(repr((src, dst, route)).encode())
+    assert digest.hexdigest() == NEAREST_DIGESTS[label]
+
+
+def oracle_route(src, dst, topo, max_hops, rotate):
+    try:
+        return walk_relays(src, dst, topo, max_hops, rotate)
+    except (EmptyCellError, HopBudgetExceededError) as exc:
+        return type(exc).__name__
+
+
+def random_instance(seed):
+    """A small instance with random cell size, hop budget and flows; every
+    fifth one has positions on a 1/8 lattice, so nodes sit on cell borders
+    and tie in distance."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 120))
+    pos = rng.random((n, 2))
+    if seed % 5 == 0:
+        pos = np.round(pos * 8) / 8
+    cfg = make_cfg(n=n, H=int(rng.integers(1, 8)))
+    topo = build_cell_grid(cfg, positions=pos,
+                           cell_area_override=[1 / 4, 1 / 16, 1 / 49, 1 / 100, 1 / 400][seed % 5])
+    pairs = rng.integers(0, n, size=(80, 2))
+    return cfg, topo, [(s, d) for s, d in pairs.tolist() if s != d]
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["nearest", "rotation"])
+@pytest.mark.parametrize("label", [*ROUTE_CASES, "random"])
+def test_batched_walk_equals_oracle(label, rotate):
+    if label == "random":
+        instances = [random_instance(seed) for seed in range(40)]
+    else:
+        cfg, _ = ROUTE_CASES[label]
+        topo = build_cell_grid(cfg)
+        instances = [(cfg, topo, walking_flows(cfg, topo))]
+    for cfg, topo, pairs in instances:
+        src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        routes = _walk_flows(topo, src, dst, cfg.H, rotate)
+        for (s, d), route in zip(pairs, routes):
+            got = type(route).__name__ if isinstance(route, McisError) else route
+            assert got == oracle_route(s, d, topo, cfg.H, rotate), (s, d)
+
+
+def corridor(x0, y0, x1, y1, s):
+    """The batched corridor of one segment, as a list of flat cell ids."""
+    _, cells = _corridors(*(np.asarray([v], dtype=float) for v in (x0, y0, x1, y1)), s)
+    return cells.tolist()
 
 
 def mirror_cells(cells, s):
@@ -160,8 +243,8 @@ def mirror_cells(cells, s):
 ])
 def test_corridor_cells_mirror_across_diagonal(seg, s):
     x0, y0, x1, y1 = seg
-    cells = _corridor_cells(x0, y0, x1, y1, s)
-    assert _corridor_cells(y0, x0, y1, x1, s) == mirror_cells(cells, s)
+    cells = corridor(x0, y0, x1, y1, s)
+    assert corridor(y0, x0, y1, x1, s) == mirror_cells(cells, s)
     assert len(set(cells)) == len(cells)
     assert all(0 <= c < s * s for c in cells)
 
@@ -174,7 +257,7 @@ def test_corridor_cells_45_degrees_drive_along_x(seg):
     # column, three lanes of rows per column away from the border.
     s = 8
     x0, y0, x1, y1 = seg
-    for cells in (_corridor_cells(x0, y0, x1, y1, s), _corridor_cells(y0, x0, y1, x1, s)):
+    for cells in (corridor(x0, y0, x1, y1, s), corridor(y0, x0, y1, x1, s)):
         cols = [c % s for c in cells]
         step = 1 if cols[-1] >= cols[0] else -1
         assert cols == sorted(cols, reverse=step < 0)
@@ -182,6 +265,24 @@ def test_corridor_cells_45_degrees_drive_along_x(seg):
             rows = [c // s for c in cells if c % s == col]
             assert rows == list(range(rows[0], rows[0] + len(rows)))
             assert len(rows) == 3 or 0 in rows or s - 1 in rows
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 8, 13, 40])
+def test_batched_corridor_equals_scalar(s):
+    rng = np.random.default_rng(s)
+    segs = rng.random((400, 4))
+    segs[:50] = np.round(segs[:50] * s) / s                   # on grid lines
+    segs[50:100, :2] = np.round(segs[50:100, :2])             # from the border
+    segs[100:150, 2:] = segs[100:150, :2] + (segs[100:150, 2:] - 0.5) / (4 * s)  # short
+    # Exactly 45 degrees, both ways: dyadic ends keep |dx| == |dy| exact.
+    segs[150:200, :2] = rng.integers(0, 65, size=(50, 2)) / 64
+    run = rng.integers(1, 33, size=50) / 64
+    segs[150:200, 2] = segs[150:200, 0] + np.where(segs[150:200, 0] < 0.5, run, -run)
+    segs[150:200, 3] = segs[150:200, 1] + np.where(segs[150:200, 1] < 0.5, run, -run)
+    segs = np.clip(segs, 0.0, 1.0)
+    seg, cells = _corridors(*segs.T, s)
+    for i, (x0, y0, x1, y1) in enumerate(segs.tolist()):
+        assert cells[seg == i].tolist() == corridor_cells(x0, y0, x1, y1, s), (x0, y0, x1, y1)
 
 
 def test_assign_flows_deterministic_and_total():
