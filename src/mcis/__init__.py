@@ -41,7 +41,6 @@ from .scheduling import (
     AdHocSchedule,
     BsSchedule,
     InterferenceParams,
-    bs_interfaces_directional,
     build_adhoc_schedule,
     build_bs_schedule,
     build_interference_graph,

@@ -52,6 +52,9 @@ class NetworkConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in sorted(_FLOAT_FIELDS):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n < 0:
             raise ConfigError(f"n must be nonnegative, got {self.n}")
         b0 = self.b0
@@ -82,6 +85,9 @@ class NetworkConfig:
                 raise BadBeamwidthError(f"{name}={width} outside (0, 2*pi]")
         if self.r_factor < 1.0:
             raise ConfigError(f"r_factor must be >= 1, got {self.r_factor}")
+        if not self.bs_service_constant > 0:
+            raise ConfigError(
+                f"bs_service_constant must be > 0, got {self.bs_service_constant}")
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 

@@ -5,8 +5,13 @@ color, so every node is in at most one hop per slot) subdivided into
 mini-slots: a vertex coloring of the transmitter interference graph maps each
 transmitter to (mini-slot, channel) = (ceil(s / C_A), (s mod C_A) + 1).
 The interference graph is built in one vectorized pass for both antenna
-modes; the pairwise definition it must match lives in the test suite
-(`tests/conflict_oracle.py`) as the oracle.
+modes, deduplicating its integer keys by sorting; the pairwise definition it
+must match lives in the test suite (`tests/conflict_oracle.py`) as the
+oracle.  `verify_schedule` audits a finished schedule with its own
+arithmetic, sharing no helper with the builder: a dense distance test per
+(slot, mini-slot, channel) group, then the transmitter and beam tests over
+all candidate pairs at once; its per-pair predecessor is the oracle in
+`tests/audit_oracle.py`.
 Base-station cells run a round-robin frame of k8+1 slots over square clusters.
 """
 
@@ -21,7 +26,6 @@ from scipy.spatial import cKDTree
 from .config import TWO_PI, AntennaMode, NetworkConfig
 from .errors import ClusterMismatchError
 from .geometry import Topology
-from .analytic import sector_count
 
 
 @dataclass
@@ -117,16 +121,24 @@ class InterferenceGraph:
 
 
 def _hop_arrays(hops) -> tuple[np.ndarray, np.ndarray]:
-    hops = list(hops)
-    if not hops:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    arr = np.asarray(hops, dtype=np.int64)
+    """Transmitter and receiver columns of an (h, 2) array or a sequence of
+    (tx, rx) pairs."""
+    arr = np.asarray(hops, dtype=np.int64).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
 
 
 # Rows of (transmitter, hop) candidates the builder expands at a time; the
 # blocks, each deduplicated on its own, hold its peak memory down.
 _BLOCK_ROWS = 1 << 15
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array: sort, then drop repeats.
+    (numpy's hash-based `np.unique` is several times slower on these keys.)"""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -152,7 +164,7 @@ def build_interference_graph(topology: Topology, hops,
     of u's receivers, must cover rx_h.
     """
     tx, rx = _hop_arrays(hops)
-    nodes = np.unique(tx)
+    nodes = _distinct(tx)
     if len(nodes) == 0:
         key = np.empty(0, dtype=np.int64)
     else:
@@ -165,7 +177,7 @@ def _conflict_keys(pos, tx, rx, nodes, params) -> np.ndarray:
     graph's edges; u and v are positions into `nodes`."""
     order = len(nodes)
     # Distinct hops, grouped by sender (a position in `nodes`).
-    htx, hrx = np.divmod(np.unique(tx * len(pos) + rx), len(pos))
+    htx, hrx = np.divmod(_distinct(tx * len(pos) + rx), len(pos))
     sender = np.searchsorted(nodes, htx)
     hop_first = np.searchsorted(sender, np.arange(order))
     hop_count = np.diff(np.append(hop_first, len(htx)))
@@ -215,8 +227,8 @@ def _conflict_keys(pos, tx, rx, nodes, params) -> np.ndarray:
                                  tx_bore[aims], params.phi)]
             u, h = u[keep], h[keep]
         v = sender[h]
-        keys.append(np.unique(np.minimum(u, v) * order + np.maximum(u, v)))
-    return np.unique(np.concatenate(keys))
+        keys.append(_distinct(np.minimum(u, v) * order + np.maximum(u, v)))
+    return _distinct(np.concatenate(keys))
 
 
 def _lowest_free_bit(mask: int) -> int:
@@ -277,11 +289,6 @@ def interfering_cell_bound(delta: float, mode: AntennaMode = AntennaMode.OMNI,
     if mode is AntennaMode.DIRECTIONAL:
         return 81.0 * (2.0 + delta) ** 2 * (phi / TWO_PI) ** 2
     return 4.0 * (1.0 + delta) ** 2
-
-
-def bs_interfaces_directional(theta: float, C_I: int) -> int:
-    """Interfaces a directional BS carries: floor(2 pi / theta) sectors x C_I channels."""
-    return sector_count(theta) * C_I
 
 
 @dataclass
@@ -379,13 +386,22 @@ class Violation:
 
 def verify_schedule(schedule: AdHocSchedule, topology: Topology,
                     params: InterferenceParams) -> list:
-    """Brute-force audit: every simultaneous same-channel pair is tested with
-    the interference predicate, and every node for duplex conflicts."""
+    """Audit a schedule against the interference model, independently of the
+    builder: its own per-group distance test and beam arithmetic, shared with
+    no helper of `build_interference_graph`.
+
+    Duplex: no node may sit in two hops of one (slot, mini-slot).
+    Interference: within each (slot, mini-slot, channel) group, hop b's
+    transmitter corrupts hop a when it is not a's transmitter and lies closer
+    to rx_a than (1 + delta)|a|; in directional mode tx_b's beam, aimed at
+    rx_b, must also cover rx_a, and rx_a's beam, aimed at tx_a, must cover
+    tx_b (both of width phi).  A dense distance matrix per group yields the
+    candidate (victim, interferer) pairs; the transmitter and beam tests then
+    run once over all candidates.
+    """
     violations: list[Violation] = []
-    m = schedule.hop_count
-    if m == 0:
+    if schedule.hop_count == 0:
         return violations
-    pos = topology.node_positions
     tx, rx = schedule.tx, schedule.rx
     slot, mini, channel = schedule.slot, schedule.mini, schedule.channel
 
@@ -405,42 +421,46 @@ def verify_schedule(schedule: AdHocSchedule, topology: Topology,
             mini=t % (schedule.minislot_count + 1),
             channel=-1, node_a=int(nk[idx]), node_b=-1))
 
-    # Interference: group by (slot, mini, channel).
+    # Interference candidates: hops sorted by (slot, mini, channel) group,
+    # then per group |rx_i - tx_j|, the distance from transmitter j to
+    # receiver i, with positions as complex numbers x + iy.
+    z = np.ascontiguousarray(topology.node_positions, dtype=np.float64) \
+        .view(np.complex128).ravel()
     group_key = (slot * (schedule.minislot_count + 1) + mini) \
         * (int(channel.max()) + 1) + channel
     order = np.argsort(group_key, kind="stable")
-    directional = params.mode is AntennaMode.DIRECTIONAL
     gk = group_key[order]
     starts = np.flatnonzero(np.r_[True, gk[1:] != gk[:-1]])
     ends = np.r_[starts[1:], len(gk)]
-    link_len = np.hypot(pos[tx, 0] - pos[rx, 0], pos[tx, 1] - pos[rx, 1])
+    zt, zr = z[tx[order]], z[rx[order]]
+    reach = (1.0 + params.delta) * np.abs(zr - zt)
+    victim, interferer = [], []
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         if hi - lo < 2:
             continue
-        idx = order[lo:hi]
-        tpos = pos[tx[idx]]
-        rpos = pos[rx[idx]]
-        thr = (1.0 + params.delta) * link_len[idx]
-        # gap[i, j]: distance from transmitter j to receiver i.
-        gap = np.hypot(rpos[:, 0][:, None] - tpos[:, 0][None, :],
-                       rpos[:, 1][:, None] - tpos[:, 1][None, :])
-        bad = gap < thr[:, None]
-        np.fill_diagonal(bad, False)
-        for i, j in zip(*np.nonzero(bad)):
-            if tx[idx[i]] == tx[idx[j]]:
-                continue
-            if directional and not interferes(
-                    tuple(tpos[i]), tuple(rpos[i]), tuple(tpos[j]), params,
-                    tx_b_boresight=math.atan2(rpos[j, 1] - tpos[j, 1],
-                                              rpos[j, 0] - tpos[j, 0]),
-                    rx_a_boresight=math.atan2(tpos[i, 1] - rpos[i, 1],
-                                              tpos[i, 0] - rpos[i, 0])):
-                continue
-            violations.append(Violation(
-                kind="interference",
-                slot=int(slot[idx[i]]), mini=int(mini[idx[i]]),
-                channel=int(channel[idx[i]]),
-                node_a=int(tx[idx[i]]), node_b=int(tx[idx[j]])))
+        i, j = np.nonzero(np.abs(zr[lo:hi, None] - zt[lo:hi]) < reach[lo:hi, None])
+        victim.append(i + lo)
+        interferer.append(j + lo)
+    if not victim:
+        return violations
+    a = order[np.concatenate(victim)]
+    b = order[np.concatenate(interferer)]
+    # A transmitter never corrupts its own hops (this also drops a == b).
+    keep = tx[a] != tx[b]
+    a, b = a[keep], b[keep]
+    if params.mode is AntennaMode.DIRECTIONAL:
+        def covers(origin, aim, target):
+            """Does the beam of width phi at `origin`, pointed at `aim`,
+            cover `target`?  Angles wrap to the shorter way round."""
+            off = np.abs(np.angle(z[target] - z[origin]) - np.angle(z[aim] - z[origin]))
+            return np.minimum(off, TWO_PI - off) <= params.phi / 2.0
+
+        keep = covers(tx[b], rx[b], rx[a]) & covers(rx[a], tx[a], tx[b])
+        a, b = a[keep], b[keep]
+    for ia, ib in zip(a.tolist(), b.tolist()):
+        violations.append(Violation(
+            kind="interference", slot=int(slot[ia]), mini=int(mini[ia]),
+            channel=int(channel[ia]), node_a=int(tx[ia]), node_b=int(tx[ib])))
     return violations
 
 

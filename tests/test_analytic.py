@@ -10,6 +10,7 @@ from mcis.analytic import (
     aggregate_adhoc,
     aggregate_infra,
     apply_preset,
+    bs_concurrency,
     classify_regime,
     delay,
     expected_hops,
@@ -204,6 +205,15 @@ def test_sector_count():
     assert sector_count(TWO_PI) == 1
     assert sector_count(math.pi / 12) == 24
     assert sector_count(math.pi / 2) == 4
+
+
+def test_bs_concurrency_directional():
+    # floor(2 pi / theta) sectors, each reusing all C_I channels.
+    def directional(theta, C_I):
+        return make_cfg(C=4 + C_I, C_I=C_I, antenna_mode="directional", theta=theta)
+    assert bs_concurrency(directional(math.pi / 12, 12)) == 288
+    assert bs_concurrency(directional(TWO_PI, 5)) == 5
+    assert bs_concurrency(directional(math.pi / 2, 2)) == 8
 
 
 def test_preset_sc_ah():

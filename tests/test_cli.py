@@ -212,6 +212,18 @@ def test_negative_rng_seed_in_config_exits_1(tmp_path, capsys):
     assert "rng_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["r_factor = nan", "bs_service_constant = -1"])
+def test_nan_or_negative_constant_in_config_exits_1(tmp_path, capsys, line):
+    path, cfg = write_cfg(tmp_path)
+    key = line.split(" = ")[0]
+    text = "\n".join(line if row.startswith(key + " =") else row
+                     for row in path.read_text().splitlines())
+    path.write_text(text + "\n")
+    assert main(["simulate", "--config", str(path), "--horizon", "27"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--config", "{missing}"],
     ["simulate", "--config", "{missing}"],

@@ -80,6 +80,15 @@ def test_h_and_delta_bounds():
         validate_config(base_raw(rng_seed=-1))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("r_factor", "nan"), ("delta", "inf"), ("W", "inf"), ("bs_service_constant", "nan"),
+    ("bs_service_constant", 0.0), ("bs_service_constant", -1.0),
+])
+def test_non_finite_and_nonpositive_constants_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        validate_config(base_raw(**{key: value}))
+
+
 def test_parse_config_text_comments_and_errors():
     raw = parse_config_text("# comment\nn = 10\nb=1  # trailing\n\nm = 2\n")
     assert raw == {"n": "10", "b": "1", "m": "2"}

@@ -1,10 +1,14 @@
+import dataclasses
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audit_oracle import verify_schedule_exact
 from conflict_oracle import oracle_graph
 from mcis.analytic import apply_preset
 from mcis.config import AntennaMode, validate_config
@@ -14,7 +18,6 @@ from mcis.routing import assign_flows
 from mcis.scheduling import (
     AdHocSchedule,
     InterferenceParams,
-    bs_interfaces_directional,
     build_adhoc_schedule,
     build_bs_schedule,
     build_interference_graph,
@@ -174,6 +177,31 @@ def test_interference_graph_equals_oracle(instance):
     assert np.array_equal(graph.indices, oracle.indices)
 
 
+GRAPH_CASES = {
+    "sc-ah n=2^12": (apply_preset(validate_config(dict(
+        SC_AH_BASE, n=2 ** 12, rng_seed=11)), "sc-ah"),
+        "6ddceb3748a1cbb987cce786e09e2d3b2e23a8b4c2b78bb6ec720a0ba7da52dc"),
+    "mcis-da n=2^9": (validate_config(dict(MCIS_DA, rng_seed=12)),
+        "cbcb7b8d5648a65ff4f1b7fde0f11756c132eef13b506116040e3be5935b734f"),
+    "mcis n=2^12": (validate_config(dict(
+        n=2 ** 12, b=16, m=4, C=6, C_A=4, C_I=2, W=120.0, W_A=100.0, W_I=10.0,
+        H=10, rng_seed=13)),
+        "13ede1cd6ac6237069a3efbefb44d01cc6d0d4eb4cda2866a5f4bc9253267ed8"),
+}
+
+
+@pytest.mark.parametrize("label", GRAPH_CASES)
+def test_interference_graph_pinned(label):
+    # Digests recorded before the builder's deduplication moved from
+    # np.unique to sort-and-mask.
+    cfg, expected = GRAPH_CASES[label]
+    graph = build_interference_graph(*routed(cfg))
+    digest = hashlib.sha256()
+    for arr in (graph.nodes, graph.indptr, graph.indices):
+        digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == expected
+
+
 def test_shrinking_phi_never_adds_edges():
     cfg = make_cfg(n=120, rng_seed=7, antenna_mode="directional")
     topo = build_cell_grid(cfg)
@@ -310,12 +338,6 @@ def test_bs_frame_same_slot_cells_do_not_interfere():
                 assert not interferes(tx, rx, tx_b, params)
 
 
-def test_bs_interfaces_directional():
-    assert bs_interfaces_directional(math.pi / 12, 12) == 288
-    assert bs_interfaces_directional(TWO_PI, 5) == 5
-    assert bs_interfaces_directional(math.pi / 2, 2) == 8
-
-
 def single_hop_schedule(slot, mini, channel, hops):
     arr = np.asarray(hops, dtype=np.int64)
     m = len(arr)
@@ -355,6 +377,65 @@ def test_verify_schedule_flags_duplex():
     sched = single_hop_schedule([0, 0], [1, 1], [1, 2], [(0, 1), (1, 2)])
     violations = verify_schedule(sched, topo, omni())
     assert any(v.kind == "duplex" and v.node_a == 1 for v in violations)
+
+
+def test_verify_schedule_own_hops_do_not_interfere():
+    cfg = make_cfg(n=3)
+    positions = np.asarray([[0.5, 0.5], [0.55, 0.5], [0.45, 0.5]])
+    topo = build_cell_grid(cfg, positions=positions, cell_area_override=0.25)
+    # Node 0 sends to 1 and to 2 in one group: a duplex clash, but a
+    # transmitter never corrupts its own hops.
+    sched = single_hop_schedule([0, 0], [1, 1], [1, 1], [(0, 1), (0, 2)])
+    violations = verify_schedule(sched, topo, omni())
+    assert [(v.kind, v.node_a) for v in violations] == [("duplex", 0)]
+    assert violations == verify_schedule_exact(sched, topo, omni())
+
+
+def test_verify_schedule_directional_beams():
+    # Hop A: 0 -> 1 eastward.  Transmitter 2 sits west of receiver 1, inside
+    # its guard distance and inside its receive beam (aimed back at 0).
+    def audit(rx_b):
+        cfg = make_cfg(n=4)
+        positions = np.asarray([[0.2, 0.5], [0.3, 0.5], [0.15, 0.5], rx_b])
+        topo = build_cell_grid(cfg, positions=positions, cell_area_override=0.25)
+        sched = single_hop_schedule([0, 0], [1, 1], [1, 1], [(0, 1), (2, 3)])
+        found = verify_schedule(sched, topo, directional(phi=math.pi / 2))
+        assert found == verify_schedule_exact(sched, topo, directional(phi=math.pi / 2))
+        return found, verify_schedule(sched, topo, omni())
+    # Hit: 2 aims north-east at 3, so its beam covers 1; 0's beam, aimed
+    # east, misses 3.
+    found, _ = audit([0.22, 0.55])
+    assert [(v.kind, v.node_a, v.node_b) for v in found] == [("interference", 0, 2)]
+    # Miss: 2 aims north-west at 3, away from 1.  Omni antennas would clash.
+    found, omni_found = audit([0.08, 0.55])
+    assert found == []
+    assert len(omni_found) == 2
+
+
+AUDIT_CASES = {
+    "omni-n600": make_cfg(n=600, rng_seed=3, H=6),
+    "omni-sc-ah-2^11": apply_preset(
+        validate_config(dict(SC_AH_BASE, n=2 ** 11, rng_seed=0)), "sc-ah"),
+    "mcis-da-2^9": validate_config(MCIS_DA),
+    **{f"directional-phi{label}": make_cfg(n=300, rng_seed=5, antenna_mode="directional",
+                                           phi=phi)
+       for phi, label in ((TWO_PI, "2pi"), (math.pi / 2, "pi/2"), (math.pi / 8, "pi/8"))},
+}
+
+
+@pytest.mark.parametrize("label", AUDIT_CASES)
+def test_verify_schedule_equals_oracle(label):
+    cfg = AUDIT_CASES[label]
+    topo = build_cell_grid(cfg)
+    sched = build_adhoc_schedule(topo, assign_flows(topo, cfg, seed=cfg.rng_seed), cfg)
+    params = InterferenceParams.from_config(cfg)
+    assert verify_schedule(sched, topo, params) == []
+    # Every mini-slot and channel collapsed to 1: many violations.
+    bad = dataclasses.replace(sched, mini=np.ones_like(sched.mini),
+                              channel=np.ones_like(sched.channel))
+    found = verify_schedule(bad, topo, params)
+    assert any(v.kind == "interference" for v in found)
+    assert Counter(found) == Counter(verify_schedule_exact(bad, topo, params))
 
 
 def test_build_adhoc_schedule_single_flow_single_hop():
