@@ -33,9 +33,6 @@ from .routing import (
     Mode,
     assign_flows,
     build_adhoc_path,
-    decide_mode,
-    lines_through_cell,
-    max_flows_per_node,
 )
 from .scheduling import (
     AdHocSchedule,

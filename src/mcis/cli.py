@@ -11,7 +11,7 @@ from .config import dump_config, load_config_file
 from .errors import ConfigError, DegenerateFitError, McisError
 from .fitting import fit_scaling
 from .harness import SweepSpec, run_sweep, simulate_table, sweep_to_csv
-from .simulator import run
+from .simulator import require_network, run
 from .svgplot import render_plot
 
 EXIT_OK = 0
@@ -39,6 +39,7 @@ def _load(args) -> "NetworkConfig":
 
 def cmd_classify(args) -> int:
     cfg = _load(args)
+    require_network(cfg)
     t = analytic.thresholds(cfg.n, cfg.H)
     order = analytic.per_node_throughput(cfg)
     print(f"condition = {order.condition.value}")
@@ -75,11 +76,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = []
-    for chunk in args.values.split(","):
-        text = chunk.strip()
-        values.append(float(text) if "." in text or "e" in text.lower() else int(text))
-    spec = SweepSpec(param=args.param, values=tuple(values), seeds=args.seeds,
+    # Each value stays text here; the sweep converts it to the field's type.
+    values = tuple(chunk.strip() for chunk in args.values.split(","))
+    spec = SweepSpec(param=args.param, values=values, seeds=args.seeds,
                      horizon=args.horizon, preset=args.preset, k8=args.k8,
                      warmup_superframes=args.warmup)
     results = run_sweep(cfg, spec, workers=args.workers)
@@ -99,7 +98,15 @@ def _read_csv_columns(path: str, names: list) -> list:
             if name not in headers:
                 raise McisError(f"missing column {name!r} in {path}")
         rows = list(reader)
-    return [[float(row[name]) for row in rows] for name in names]
+    columns = [[] for _ in names]
+    for line, row in enumerate(rows, start=2):
+        for column, name in zip(columns, names):
+            try:
+                column.append(float(row[name]))
+            except (TypeError, ValueError):     # TypeError: a short row's None
+                raise McisError(f"{path} line {line}: column {name!r} needs a number, "
+                                f"got {row[name]!r}") from None
+    return columns
 
 
 def cmd_fit(args) -> int:

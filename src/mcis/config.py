@@ -101,38 +101,34 @@ _FLOAT_FIELDS = {"W", "W_A", "W_I", "delta", "theta", "phi",
                  "bs_service_constant", "r_factor"}
 
 
+def coerce_value(key: str, value):
+    """One config value converted to its field's type; ConfigError for an
+    unknown key or a value of the wrong kind.  `antenna_mode` accepts the
+    strings "omni" and "directional"."""
+    if key not in {f.name for f in fields(NetworkConfig)}:
+        raise ConfigError(f"unknown config key: {key}")
+    if key == "antenna_mode":
+        if isinstance(value, AntennaMode):
+            return value
+        try:
+            return AntennaMode(str(value).strip().lower())
+        except ValueError:
+            raise ConfigError(
+                f"antenna_mode must be omni or directional, got {value!r}") from None
+    kind, noun = (int, "an integer") if key in _INT_FIELDS else (float, "a number")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key} needs {noun}, got {value!r}") from None
+
+
 def validate_config(raw: dict) -> NetworkConfig:
     """Build a NetworkConfig from a key/value mapping, enforcing every invariant.
 
     Unknown keys are rejected.  `b0` may be omitted (derived from b);
     `antenna_mode` accepts the strings "omni" and "directional".
     """
-    known = {f.name for f in fields(NetworkConfig)}
-    values: dict = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key: {key}")
-        if key == "antenna_mode":
-            if isinstance(value, AntennaMode):
-                values[key] = value
-            else:
-                text = str(value).strip().lower()
-                try:
-                    values[key] = AntennaMode(text)
-                except ValueError:
-                    raise ConfigError(
-                        f"antenna_mode must be omni or directional, got {value!r}"
-                    ) from None
-        elif key in _INT_FIELDS:
-            try:
-                values[key] = int(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key} needs an integer, got {value!r}") from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                values[key] = float(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"config key {key} needs a number, got {value!r}") from None
+    values = {key: coerce_value(key, value) for key, value in raw.items()}
     missing = {"n", "b", "m", "C", "C_A", "C_I", "W", "W_A", "W_I", "H"} - values.keys()
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(sorted(missing))}")

@@ -217,32 +217,3 @@ def supercover_cells(x0: float, y0: float, x1: float, y1: float, s: int) -> list
         if len(cells) > 4 * s + 4:    # straight segments cannot visit more
             raise RuntimeError("grid walk failed to terminate")
     return cells
-
-
-def segment_intersects_square(x0, y0, x1, y1, left, bottom, side) -> bool:
-    """Exact closed-segment vs closed-axis-aligned-square intersection test."""
-    right = left + side
-    top = bottom + side
-    # Quick accept: an endpoint inside.
-    if left <= x0 <= right and bottom <= y0 <= top:
-        return True
-    if left <= x1 <= right and bottom <= y1 <= top:
-        return True
-    # Separating axis for segment vs box (slab clipping).
-    dx = x1 - x0
-    dy = y1 - y0
-    t0, t1 = 0.0, 1.0
-    for p, q_low, q_high in ((dx, left - x0, right - x0), (dy, bottom - y0, top - y0)):
-        if p == 0.0:
-            if q_low > 0.0 or q_high < 0.0:
-                return False
-            continue
-        ta = q_low / p
-        tb = q_high / p
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return False
-    return True

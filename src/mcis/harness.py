@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from . import analytic
-from .config import NetworkConfig
+from .config import NetworkConfig, coerce_value
 from .errors import ConfigError, McisError
 from .simulator import METRICS_CSV_HEADER, report_csv_row, run
 
@@ -36,11 +36,15 @@ class SweepSpec:
 
 
 def point_config(base: NetworkConfig, spec: SweepSpec, value) -> NetworkConfig:
-    """Apply one swept value (and the optional preset) to the base config."""
+    """Apply one swept value (and the optional preset) to the base config.
+
+    The value is converted to the field's type first, so a value of the
+    wrong kind, such as the text "1e3" for n, raises ConfigError."""
+    value = coerce_value(spec.param, value)
     overrides = {spec.param: value}
     if spec.param in ("C_A", "C_I"):
         other = base.C_I if spec.param == "C_A" else base.C_A
-        overrides["C"] = int(value) + other
+        overrides["C"] = value + other
     if spec.param in ("W_A", "W_I"):
         w_a = value if spec.param == "W_A" else base.W_A
         w_i = value if spec.param == "W_I" else base.W_I

@@ -1,4 +1,4 @@
-"""Mode decision, straight-line relay paths through cells, and flow assignment.
+"""Flow assignment and straight-line relay paths through cells.
 
 A flow whose destination lies within H hops (distance at most H * r(n)) runs
 in ad hoc mode along the cells crossed by its source-destination segment;
@@ -15,21 +15,26 @@ first counting from position `src mod size` in the cell's id order (a
 stateless rotation, so flows are independent of each other).  The walk
 commits the offer with the most forward progress, the earliest corridor cell
 on ties.  All flows of a block are stepped together in numpy.
+
+The flow table is columnar: one array per field, one row per flow, and the
+relay chains in one CSR pair (`path_start`, `path_nodes`).  `FlowTable.flows`
+builds per-flow `Flow` records on first access for readers that want them;
+the simulator never does.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import EmptyCellError, HopBudgetExceededError, McisError
-from .geometry import Topology, grid_index, segment_intersects_square, supercover_cells
+from .errors import EmptyCellError, HopBudgetExceededError
+from .geometry import Topology, grid_index, supercover_cells
 
 
 class Mode(Enum):
@@ -37,44 +42,97 @@ class Mode(Enum):
     INFRA = "infra"
 
 
+# Why an ad hoc eligible flow fell back to infrastructure mode
+# (`FlowTable.fallback_cause`); 0 for every other flow.
+EMPTY_CELL = 1      # no reachable forward relay
+HOP_BUDGET = 2      # the chain would exceed H hops
+FALLBACK_ERRORS = {EMPTY_CELL: EmptyCellError, HOP_BUDGET: HopBudgetExceededError}
+
+
 @dataclass
 class Flow:
+    """One row of a `FlowTable`, as plain Python values."""
+
     src: int
     dst: int
     mode: Mode
     adhoc_path: list = field(default_factory=list)  # relay node ids, in order
     uplink_bs: int = -1
     downlink_bs: int = -1
-    rate: float | None = None        # bits/sec demand; None = saturated
     eligible_adhoc: bool = False     # destination within H * r(n)
-    fallback: bool = False           # eligible but no feasible relay chain
+    fallback_cause: int = 0          # why an eligible flow fell back, or 0
+
+    @property
+    def fallback(self) -> bool:
+        """Eligible, but no feasible relay chain."""
+        return self.fallback_cause != 0
 
     @property
     def hop_count(self) -> int:
         return len(self.adhoc_path) + 1 if self.mode is Mode.ADHOC else 0
 
 
-@dataclass
+@dataclass(init=False, eq=False)
 class FlowTable:
-    flows: list
+    """Columnar flows: row i of every per-flow array describes flow i."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    adhoc: np.ndarray                # bool: the flow runs in ad hoc mode
+    eligible: np.ndarray             # bool: destination within H * r(n)
+    fallback_cause: np.ndarray       # 0, EMPTY_CELL or HOP_BUDGET
+    uplink_bs: np.ndarray            # BS of the source; -1 for ad hoc flows
+    downlink_bs: np.ndarray          # BS of the destination; -1 for ad hoc flows
+    # Relays of flow i, in order: path_nodes[path_start[i]:path_start[i + 1]];
+    # only ad hoc flows have any.
+    path_start: np.ndarray
+    path_nodes: np.ndarray
     per_node_load: np.ndarray        # flows transmitted by each node (src or relay)
 
-    @property
-    def adhoc_flows(self) -> list:
-        return [f for f in self.flows if f.mode is Mode.ADHOC]
+    def __init__(self, flows: list | None = None, per_node_load: np.ndarray | None = None,
+                 **columns):
+        """The columns by keyword, as `assign_flows` builds them, or `flows`,
+        a list of `Flow` records, for a table assembled by hand."""
+        if flows is not None:
+            columns = _columns(flows)
+        names = {f.name for f in fields(self)} - {"per_node_load"}
+        if columns.keys() != names:
+            raise TypeError(f"FlowTable needs `flows` or the columns {sorted(names)}")
+        self.__dict__.update(columns, per_node_load=per_node_load)
 
-    @property
-    def infra_flows(self) -> list:
-        return [f for f in self.flows if f.mode is Mode.INFRA]
+    @cached_property
+    def flows(self) -> list:
+        """The rows as `Flow` records, built on first access."""
+        paths = self.path_nodes.tolist()
+        bounds = self.path_start.tolist()
+        return [Flow(src=s, dst=d, mode=Mode.ADHOC if a else Mode.INFRA,
+                     adhoc_path=paths[lo:hi], uplink_bs=up, downlink_bs=down,
+                     eligible_adhoc=e, fallback_cause=c)
+                for s, d, a, e, c, up, down, lo, hi in zip(
+                    self.src.tolist(), self.dst.tolist(), self.adhoc.tolist(),
+                    self.eligible.tolist(), self.fallback_cause.tolist(),
+                    self.uplink_bs.tolist(), self.downlink_bs.tolist(),
+                    bounds[:-1], bounds[1:])]
 
 
-def decide_mode(src_pos, dst_pos, H: int, tx_range: float) -> Mode:
-    """Ad hoc iff the destination lies in the H-hop disk of radius H * r(n)."""
-    dx = dst_pos[0] - src_pos[0]
-    dy = dst_pos[1] - src_pos[1]
-    if math.hypot(dx, dy) <= H * tx_range:
-        return Mode.ADHOC
-    return Mode.INFRA
+def _columns(flows: list) -> dict:
+    """FlowTable columns holding the given `Flow` records."""
+    def column(values, dtype):
+        return np.asarray(list(values), dtype=dtype)
+
+    adhoc = column((f.mode is Mode.ADHOC for f in flows), bool)
+    paths = [f.adhoc_path if a else [] for f, a in zip(flows, adhoc.tolist())]
+    path_start = np.zeros(len(flows) + 1, dtype=np.int64)
+    np.cumsum([len(p) for p in paths], out=path_start[1:])
+    return dict(src=column((f.src for f in flows), np.int64),
+                dst=column((f.dst for f in flows), np.int64),
+                adhoc=adhoc,
+                eligible=column((f.eligible_adhoc for f in flows), bool),
+                fallback_cause=column((f.fallback_cause for f in flows), np.int8),
+                uplink_bs=column((f.uplink_bs for f in flows), np.int64),
+                downlink_bs=column((f.downlink_bs for f in flows), np.int64),
+                path_start=path_start,
+                path_nodes=column((v for p in paths for v in p), np.int64))
 
 
 # Flanking cell lanes the relay corridor takes on each side of the S-D line.
@@ -134,23 +192,26 @@ def _corridors(x0, y0, x1, y1, s):
 def _walk_flows(topology, src, dst, max_hops, rotate):
     """Relay chains for the flows src[i] -> dst[i] (integer arrays).
 
-    Returns one entry per flow: its relay ids in order, or the
-    EmptyCellError or HopBudgetExceededError that ended its walk.  Each cell
-    offers by the rotation rule when `rotate` is set, else its member
-    closest to the line.  Flows whose destination is in range need no relay;
-    the others are walked BLOCK at a time.
+    Returns (cause, count, relays): each flow's fallback cause (0 when its
+    walk reached the destination, else EMPTY_CELL or HOP_BUDGET), its number
+    of relays (0 for a flow whose walk failed), and all relays, flow by flow
+    and each flow's in order.  Each cell offers by the rotation rule when `rotate` is
+    set, else its member closest to the line.  Flows whose destination is in
+    range need no relay; the others are walked BLOCK at a time.
     """
     pos = topology.node_positions
     gap = pos[dst] - pos[src]
     far = np.flatnonzero(gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1]
                          > topology.tx_range * topology.tx_range)
-    routes = [[] for _ in range(len(src))]
+    cause = np.zeros(len(src), dtype=np.int8)
+    count = np.zeros(len(src), dtype=np.int64)
+    relays = [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(far), BLOCK):
         block = far[lo:lo + BLOCK]
-        for i, route in zip(block.tolist(),
-                            _walk_block(topology, src[block], dst[block], max_hops, rotate)):
-            routes[i] = route
-    return routes
+        cause[block], count[block], block_relays = _walk_block(
+            topology, src[block], dst[block], max_hops, rotate)
+        relays.append(block_relays)
+    return cause, count, np.concatenate(relays)
 
 
 def _walk_block(topology, src, dst, max_hops, rotate):
@@ -163,6 +224,7 @@ def _walk_block(topology, src, dst, max_hops, rotate):
     that lie within r of the current node; each corridor cell offers its
     one with the lowest key, and the offer with the most progress is
     committed.  Earlier relays have t <= cur_t, so no banned set is needed.
+    Returns (cause, count, relays) for the block, as `_walk_flows` does.
     """
     pos = topology.node_positions
     r = topology.tx_range
@@ -209,7 +271,7 @@ def _walk_block(topology, src, dst, max_hops, rotate):
 
     steps = np.zeros(len(src), dtype=np.int64)
     cur_x, cur_y, cur_t = sx.copy(), sy.copy(), np.zeros(len(src))
-    fail: dict[int, Exception] = {}
+    cause = np.zeros(len(src), dtype=np.int8)
     walked_flow, walked_node = [], []
     active = np.arange(len(src))
     while active.size:
@@ -217,9 +279,7 @@ def _walk_block(topology, src, dst, max_hops, rotate):
         cdy = ey[active] - cur_y[active]
         arrived = cdx * cdx + cdy * cdy <= r2
         over = steps[active] >= max_hops
-        for i in active[over].tolist():
-            fail[i] = HopBudgetExceededError(
-                f"flow {src[i]}->{dst[i]} exceeds H={max_hops} hops")
+        cause[active[over]] = HOP_BUDGET
         active = active[~(arrived | over)]
         if not active.size:
             break
@@ -242,9 +302,7 @@ def _walk_block(topology, src, dst, max_hops, rotate):
         moved = f[chosen]
         stuck = np.ones(len(src), dtype=bool)
         stuck[moved] = False
-        for i in active[stuck[active]].tolist():
-            fail[i] = EmptyCellError(f"flow {src[i]}->{dst[i]}: no reachable forward "
-                                     f"relay from t={cur_t[i]:.3f}")
+        cause[active[stuck[active]]] = EMPTY_CELL
         cur_x[moved], cur_y[moved], cur_t[moved] = px[chosen], py[chosen], t[chosen]
         steps[moved] += 1
         walked_flow.append(moved)
@@ -252,11 +310,11 @@ def _walk_block(topology, src, dst, max_hops, rotate):
         active = moved
 
     none = np.empty(0, dtype=np.int64)
-    by_flow = np.argsort(np.concatenate([none, *walked_flow]), kind="stable")
-    relays = np.concatenate([none, *walked_node])[by_flow].tolist()    # in step order
-    ends = np.cumsum(steps).tolist()
-    return [fail.get(i) or relays[end - k:end]
-            for i, (end, k) in enumerate(zip(ends, steps.tolist()))]
+    walked_flow = np.concatenate([none, *walked_flow])
+    by_flow = np.argsort(walked_flow, kind="stable")        # then in step order
+    relays = np.concatenate([none, *walked_node])[by_flow]
+    ok = cause == 0
+    return cause, np.where(ok, steps, 0), relays[ok[walked_flow[by_flow]]]
 
 
 def build_adhoc_path(src: int, dst: int, topology: Topology,
@@ -268,22 +326,22 @@ def build_adhoc_path(src: int, dst: int, topology: Topology,
     """
     if max_hops is None:
         max_hops = topology.n
-    route, = _walk_flows(topology, np.asarray([src]), np.asarray([dst]), max_hops,
-                         rotate=False)
-    if isinstance(route, McisError):
-        raise route
-    return route
+    cause, _, relays = _walk_flows(topology, np.asarray([src]), np.asarray([dst]),
+                                   max_hops, rotate=False)
+    if cause[0]:
+        raise FALLBACK_ERRORS[int(cause[0])](
+            f"flow {src}->{dst}: no relay chain within {max_hops} hops")
+    return relays.tolist()
 
 
-def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int,
-                 build_paths: bool = True) -> FlowTable:
+def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int) -> FlowTable:
     """One flow per node to a uniform destination, relayed with balanced load.
 
     A node drawing itself redraws once and is dropped if it repeats.  Ad hoc
     eligible flows that cannot form a relay chain within the hop budget fall
-    back to infrastructure mode (fallback flag set).  Relay cells offer by
-    the rotation rule, which spreads the flows crossing a cell over its
-    members.
+    back to infrastructure mode, with their cause recorded.  Relay cells
+    offer by the rotation rule, which spreads the flows crossing a cell over
+    its members.
     """
     n = topology.n
     rng = np.random.default_rng(seed)
@@ -298,77 +356,33 @@ def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int,
     reach = cfg.H * topology.tx_range
     gap = pos[dst] - pos[src]
     eligible = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1] <= reach * reach
-    routes = iter(_walk_flows(topology, src[eligible], dst[eligible], cfg.H, rotate=True)
-                  if build_paths else [])
+    cause = np.zeros(len(src), dtype=np.int8)
+    count = np.zeros(len(src), dtype=np.int64)
+    cause[eligible], count[eligible], relays = _walk_flows(
+        topology, src[eligible], dst[eligible], cfg.H, rotate=True)
+    adhoc = eligible & (cause == 0)
+    path_start = np.zeros(len(src) + 1, dtype=np.int64)
+    np.cumsum(count, out=path_start[1:])
     b0 = topology.bs_cell_side_count
-    bs_cell = (grid_index(pos[:, 1], b0) * b0 + grid_index(pos[:, 0], b0)).tolist()
-    flows: list[Flow] = []
-    senders: list[int] = []         # one entry per ad hoc transmission
-    for s, d, e in zip(src.tolist(), dst.tolist(), eligible.tolist()):
-        flow = Flow(src=s, dst=d, mode=Mode.ADHOC if e else Mode.INFRA, eligible_adhoc=e)
-        if e and build_paths:
-            route = next(routes)
-            if isinstance(route, list):
-                flow.adhoc_path = route
-            else:
-                flow.mode = Mode.INFRA
-                flow.fallback = True
-        if flow.mode is Mode.INFRA:
-            flow.uplink_bs = bs_cell[s]
-            flow.downlink_bs = bs_cell[d]
-        else:
-            senders.append(s)
-            senders += flow.adhoc_path
-        flows.append(flow)
-    load = np.bincount(np.asarray(senders, dtype=np.int64), minlength=n)
-    return FlowTable(flows=flows, per_node_load=load)
-
-
-def lines_through_cell(table: FlowTable, cell, topology: Topology) -> int:
-    """Exact count of ad hoc S-D segments intersecting the cell's closed square."""
-    s = topology.cell_side_count
-    side = 1.0 / s
-    row, col = cell
-    left = col * side
-    bottom = row * side
-    pos = topology.node_positions
-    count = 0
-    for flow in table.flows:
-        if flow.mode is not Mode.ADHOC:
-            continue
-        x0, y0 = pos[flow.src]
-        x1, y1 = pos[flow.dst]
-        if segment_intersects_square(x0, y0, x1, y1, left, bottom, side):
-            count += 1
-    return count
+    bs_cell = grid_index(pos[:, 1], b0) * b0 + grid_index(pos[:, 0], b0)
+    load = np.bincount(np.concatenate([src[adhoc], relays]), minlength=n)
+    return FlowTable(src=src, dst=dst, adhoc=adhoc, eligible=eligible,
+                     fallback_cause=cause,
+                     uplink_bs=np.where(adhoc, -1, bs_cell[src]),
+                     downlink_bs=np.where(adhoc, -1, bs_cell[dst]),
+                     path_start=path_start, path_nodes=relays, per_node_load=load)
 
 
 def lines_per_cell(table: FlowTable, topology: Topology) -> np.ndarray:
     """Supercover tally of ad hoc S-D lines for every cell (s x s array)."""
     s = topology.cell_side_count
     counts = np.zeros((s, s), dtype=np.int64)
-    pos = topology.node_positions.tolist()
-    for flow in table.flows:
-        if flow.mode is not Mode.ADHOC:
-            continue
-        x0, y0 = pos[flow.src]
-        x1, y1 = pos[flow.dst]
+    pos = topology.node_positions
+    ends = np.column_stack([pos[table.src[table.adhoc]], pos[table.dst[table.adhoc]]])
+    for x0, y0, x1, y1 in ends.tolist():
         for row, col in supercover_cells(x0, y0, x1, y1, s):
             counts[row, col] += 1
     return counts
-
-
-def max_flows_per_node(table: FlowTable) -> int:
-    """Largest number of flows terminating at any single node."""
-    inbound: dict[int, int] = {}
-    for flow in table.flows:
-        inbound[flow.dst] = inbound.get(flow.dst, 0) + 1
-    return max(inbound.values(), default=0)
-
-
-def adhoc_transmitter_count(table: FlowTable) -> int:
-    """Sources whose destination fell inside the H-hop disk."""
-    return sum(1 for f in table.flows if f.eligible_adhoc)
 
 
 FLOW_CSV_HEADER = ["flow_id", "src", "dst", "mode", "hop_count", "bs_up", "bs_down"]

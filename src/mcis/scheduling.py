@@ -335,27 +335,36 @@ class AdHocSchedule:
         return len(self.tx)
 
 
-def flow_hops(flows) -> list:
-    """(flow_id, hop_index, tx, rx) for every hop of every ad hoc flow."""
-    out = []
-    for fid, flow in enumerate(flows):
-        if flow.mode.value != "adhoc":
-            continue
-        chain = [flow.src, *flow.adhoc_path, flow.dst]
-        for k in range(len(chain) - 1):
-            out.append((fid, k, chain[k], chain[k + 1]))
-    return out
+def flow_hops(table) -> np.ndarray:
+    """(flow_id, hop_index, tx, rx) rows for every hop of every ad hoc flow
+    of the flow table, by flow and then hop; an (h, 4) integer array."""
+    fid = np.flatnonzero(table.adhoc)
+    hops = np.diff(table.path_start)[fid] + 1
+    first = np.cumsum(hops) - hops
+    # A flow's relays, in order, transmit every hop but its first and
+    # receive every hop but its last; only ad hoc flows have relays.
+    tx = np.empty(int(hops.sum()), dtype=np.int64)
+    rx = np.empty_like(tx)
+    is_first = np.zeros(len(tx), dtype=bool)
+    is_first[first] = True
+    is_last = np.zeros(len(tx), dtype=bool)
+    is_last[first + hops - 1] = True
+    tx[is_first] = table.src[fid]
+    tx[~is_first] = table.path_nodes
+    rx[is_last] = table.dst[fid]
+    rx[~is_last] = table.path_nodes
+    return np.column_stack([np.repeat(fid, hops), np.arange(len(tx)) - np.repeat(first, hops),
+                            tx, rx])
 
 
 def build_adhoc_schedule(topology: Topology, flowtable, cfg: NetworkConfig) -> AdHocSchedule:
     """Compose hop edge coloring, the interference graph vertex coloring, and
     the mini-slot/channel map into a complete conflict-free schedule."""
-    hops = flow_hops(flowtable.flows)
-    if not hops:
+    arr = flow_hops(flowtable)
+    if len(arr) == 0:
         empty = np.empty(0, dtype=np.int64)
         return AdHocSchedule(0, 0, empty, empty, empty, empty, empty, empty, empty)
-    arr = np.asarray(hops, dtype=np.int64)
-    fid, hidx, tx, rx = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    fid, hidx, tx, rx = arr.T
     slots = edge_color(arr[:, 2:4], n_nodes=topology.n)
     params = InterferenceParams.from_config(cfg)
     graph = build_interference_graph(topology, arr[:, 2:4], params)

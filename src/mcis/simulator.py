@@ -2,12 +2,16 @@
 
 Time unit: one slot = one second = one full ad hoc edge-color frame.  The BS
 frame spans k8+1 slots (one BS-cell per cluster active per slot).  Traffic is
-fluid: sources are saturated unless a flow carries a finite rate demand, each
-scheduled hop moves up to its per-frame budget, and delays are transit
-constants (relay_slots per ad hoc hop, c / concurrency per BS service);
+fluid: sources are saturated, or every flow carries the same finite `demand`,
+and each scheduled hop moves up to its per-frame budget.  Delays are transit
+constants, one slot per ad hoc hop and c / concurrency per BS service;
 queueing delay is excluded by the model.  Infrastructure bits count once, at
 uplink completion into the wired core (the wire and downlink are unconstrained
 and symmetric).
+
+Both playbacks run over the columnar flow table and the schedule arrays: the
+ad hoc frame steps its hops in dependency order (`_hop_depth`), the BS frame
+serves each slot's flows with one masked update.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .analytic import bs_concurrency
 from .config import NetworkConfig
 from .errors import ConfigError, HorizonTooShortError, NoPacketsError, ScheduleInvalidError
 from .geometry import build_cell_grid
-from .routing import FlowTable, Mode, adhoc_transmitter_count, assign_flows
+from .routing import EMPTY_CELL, HOP_BUDGET, FlowTable, assign_flows
 from .scheduling import (
     AdHocSchedule,
     InterferenceParams,
@@ -53,11 +57,18 @@ class MetricsReport:
     seed: int
     horizon: int
     warmup: int
+    fallback_empty_cell: int        # fallbacks with no reachable forward relay
+    fallback_hop_budget: int        # fallbacks whose chain would exceed H hops
+
+
+def require_network(cfg: NetworkConfig) -> None:
+    """The cell-size rule and the analytic thresholds need n >= 3."""
+    if cfg.n < 3:
+        raise ConfigError(f"a network needs n >= 3 nodes, got n={cfg.n}")
 
 
 def run(cfg: NetworkConfig, seed: int, horizon: int, *,
         k8: int = 8,
-        relay_slots: float = 1.0,
         warmup_superframes: int = 2,
         demand: float | None = None,
         interior_margin: float = 0.0,
@@ -68,9 +79,12 @@ def run(cfg: NetworkConfig, seed: int, horizon: int, *,
     demand caps every flow at that many bits/sec (None = saturated sources).
     interior_margin > 0 restricts the metrics to flows whose endpoints both
     lie at least that far from the unit-square border (boundary-effect
-    filter); the schedule itself still carries every flow.
-    Raises ScheduleInvalidError if the auditor finds any violation.
+    filter); the schedule itself still carries every flow.  D_a is the
+    delivered-bit-weighted mean hop count (one slot per hop).
+    Raises ConfigError for n < 3 and ScheduleInvalidError if the auditor
+    finds any violation.
     """
+    require_network(cfg)
     if k8 < 0:
         raise ConfigError(f"k8 must be >= 0, got {k8}")
     frame = k8 + 1
@@ -81,9 +95,6 @@ def run(cfg: NetworkConfig, seed: int, horizon: int, *,
             f"{frame}-slot frame")
     topology = build_cell_grid(cfg, positions=None)
     table = assign_flows(topology, cfg, seed)
-    if demand is not None:
-        for flow in table.flows:
-            flow.rate = demand
     schedule = build_adhoc_schedule(topology, table, cfg)
     violations = 0
     if audit:
@@ -95,16 +106,17 @@ def run(cfg: NetworkConfig, seed: int, horizon: int, *,
     bs_schedule = build_bs_schedule(cfg.b0, k8)
 
     window = float(horizon - warmup)
-    adhoc_bits, flow_hop_counts = _play_adhoc(cfg, table, schedule, horizon, warmup)
-    infra_bits = _play_infra(cfg, table, bs_schedule, horizon, warmup)
+    n_flows = len(table.src)
+    adhoc_bits, flow_hop_counts = _play_adhoc(cfg, schedule, n_flows, horizon, warmup,
+                                              demand)
+    infra_bits = _play_infra(cfg, table, bs_schedule, horizon, warmup, demand)
 
     node_count = cfg.n
     if interior_margin > 0.0:
         pos = topology.node_positions
         inner = np.all((pos >= interior_margin) & (pos <= 1.0 - interior_margin),
                        axis=1)
-        keep = np.asarray([bool(inner[f.src] and inner[f.dst])
-                           for f in table.flows])
+        keep = inner[table.src] & inner[table.dst]
         adhoc_bits = np.where(keep, adhoc_bits, 0.0)
         infra_bits = np.where(keep, infra_bits, 0.0)
         node_count = int(inner.sum())
@@ -114,144 +126,126 @@ def run(cfg: NetworkConfig, seed: int, horizon: int, *,
     t_a = total_a / window
     t_i = total_i / window
 
-    delivered_mask = adhoc_bits > 0.0
-    hist: dict[int, int] = {}
-    for h in flow_hop_counts[delivered_mask].tolist():
-        hist[h] = hist.get(h, 0) + 1
+    hops, flows = np.unique(flow_hop_counts[adhoc_bits > 0.0], return_counts=True)
     if total_a > 0.0:
         mean_hops = float((adhoc_bits * flow_hop_counts).sum() / total_a)
-        d_a = relay_slots * mean_hops
     else:
         mean_hops = 0.0
-        d_a = 0.0
     d_i = cfg.bs_service_constant / bs_concurrency(cfg) if total_i > 0.0 else 0.0
     total = total_a + total_i
-    d = (total_a * d_a + total_i * d_i) / total if total > 0.0 else 0.0
+    d = (total_a * mean_hops + total_i * d_i) / total if total > 0.0 else 0.0
+    adhoc_flows = int(np.count_nonzero(table.adhoc))
 
     return MetricsReport(
         per_node_throughput=(t_a + t_i) / node_count if node_count else 0.0,
-        T_A=t_a, T_I=t_i, D_a=d_a, D_i=d_i, D=d,
-        hop_histogram=hist,
-        n_t=adhoc_transmitter_count(table),
+        T_A=t_a, T_I=t_i, D_a=mean_hops, D_i=d_i, D=d,
+        hop_histogram=dict(zip(hops.tolist(), flows.tolist())),
+        n_t=int(np.count_nonzero(table.eligible)),
         audit=violations,
         delivered_adhoc_bits=total_a,
         delivered_infra_bits=total_i,
-        adhoc_flow_count=len(table.adhoc_flows),
-        infra_flow_count=len(table.infra_flows),
-        fallback_flow_count=sum(1 for f in table.flows if f.fallback),
+        adhoc_flow_count=adhoc_flows,
+        infra_flow_count=n_flows - adhoc_flows,
+        fallback_flow_count=int(np.count_nonzero(table.fallback_cause)),
         mean_adhoc_hops=mean_hops,
         seed=seed, horizon=horizon, warmup=warmup,
+        fallback_empty_cell=int(np.count_nonzero(table.fallback_cause == EMPTY_CELL)),
+        fallback_hop_budget=int(np.count_nonzero(table.fallback_cause == HOP_BUDGET)),
     )
 
 
-def _play_adhoc(cfg: NetworkConfig, table: FlowTable, schedule: AdHocSchedule,
-                horizon: int, warmup: int):
+def _hop_depth(first: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Each hop's position in its run of strictly increasing slots along its
+    flow, for hops sorted by (flow, hop index); first marks each flow's
+    first hop.
+
+    Within a frame a hop's queue changes only by its own send and its
+    predecessor's, and it receives before it sends exactly when the
+    predecessor's slot is lower.  Stepping the hops by depth 0, 1, ...
+    therefore applies every queue's operations in slot order.
+    """
+    pos = np.arange(len(slot))
+    reset = first.copy()
+    reset[1:] |= slot[1:] <= slot[:-1]
+    return pos - np.maximum.accumulate(np.where(reset, pos, 0))
+
+
+def _play_adhoc(cfg: NetworkConfig, schedule: AdHocSchedule, n_flows: int,
+                horizon: int, warmup: int, demand: float | None = None):
     """Per-frame fluid propagation along every flow's hop chain.
 
     Returns bits delivered inside the measurement window per flow (indexed by
-    position in table.flows) and each flow's hop count.
+    flow id) and each flow's hop count.  Each source feeds
+    min(budget, demand) bits per frame (budget when demand is None).
     """
-    n_flows = len(table.flows)
     hop_counts = np.zeros(n_flows, dtype=np.int64)
     delivered = np.zeros(n_flows, dtype=np.float64)
-    m = schedule.hop_count
-    if m == 0 or cfg.W_A <= 0.0:
+    if schedule.hop_count == 0 or cfg.W_A <= 0.0:
         return delivered, hop_counts
-    e_slots = schedule.edge_color_count
-    minis = schedule.minislot_count
-    budget = cfg.W_A / (cfg.C_A * e_slots * minis)   # bits per hop per frame
+    budget = cfg.W_A / (cfg.C_A * schedule.edge_color_count
+                        * schedule.minislot_count)   # bits per hop per frame
+    inject = budget if demand is None else min(budget, demand)
 
     # Hops sorted by (flow, hop_index) so that hop i feeds hop i+1.
     order = np.lexsort((schedule.hop_index, schedule.flow_id))
     fid = schedule.flow_id[order]
-    hidx = schedule.hop_index[order]
     slot = schedule.slot[order]
-    for f, h in zip(fid.tolist(), hidx.tolist()):
-        hop_counts[f] = max(hop_counts[f], h + 1)
+    first = np.ones(len(fid), dtype=bool)
+    first[1:] = fid[1:] != fid[:-1]
+    last = np.ones(len(fid), dtype=bool)
+    last[:-1] = first[1:]
+    hop_counts[fid[last]] = schedule.hop_index[order][last] + 1
+    first_ids = np.flatnonzero(first)
 
-    is_first = hidx == 0
-    last_of_flow: dict[int, int] = {}
-    for i, f in enumerate(fid.tolist()):
-        last_of_flow[f] = i
-    is_last = np.zeros(len(fid), dtype=bool)
-    is_last[list(last_of_flow.values())] = True
+    # Per depth: the hops that pass their bits on, then those that deliver.
+    depth = _hop_depth(first, slot)
+    levels = []
+    for d in range(int(depth.max()) + 1):
+        relay = np.flatnonzero((depth == d) & ~last)
+        final = np.flatnonzero((depth == d) & last)
+        levels.append((np.concatenate([relay, final]), relay + 1, len(relay), fid[final]))
 
-    rates = np.asarray([
-        table.flows[f].rate if table.flows[f].rate is not None else math.inf
-        for f in fid.tolist()])
-    inject = np.minimum(budget, rates)               # per-frame source feed
-
-    by_slot = [np.flatnonzero(slot == s) for s in range(e_slots)]
-    slot_first = [idx[is_first[idx]] for idx in by_slot]
-    slot_last = [is_last[idx] for idx in by_slot]
-    slot_next = [idx + 1 for idx in by_slot]         # valid where not last
-
-    queues = np.zeros(len(fid) + 1, dtype=np.float64)  # +1: scratch sink
-    first_ids = np.flatnonzero(is_first)
+    queues = np.zeros(len(fid), dtype=np.float64)
     for t in range(horizon):
-        queues[first_ids] += inject[first_ids]
+        queues[first_ids] += inject
         measured = t >= warmup
-        for s in range(e_slots):
-            idx = by_slot[s]
-            if len(idx) == 0:
-                continue
+        for idx, nxt, split, flows in levels:
             moved = np.minimum(queues[idx], budget)
             queues[idx] -= moved
-            last_mask = slot_last[s]
-            nxt = np.where(last_mask, len(fid), slot_next[s])
-            queues[nxt] += moved
-            if measured and last_mask.any():
-                delivered[fid[idx[last_mask]]] += moved[last_mask]
-            queues[len(fid)] = 0.0
+            queues[nxt] += moved[:split]
+            if measured:
+                delivered[flows] += moved[split:]
     return delivered, hop_counts
 
 
 def _play_infra(cfg: NetworkConfig, table: FlowTable, bs_schedule,
-                horizon: int, warmup: int) -> np.ndarray:
-    """BS-cell round-robin uplink service; bits count at wired-core ingress."""
-    n_flows = len(table.flows)
-    delivered = np.zeros(n_flows, dtype=np.float64)
+                horizon: int, warmup: int, demand: float | None = None) -> np.ndarray:
+    """BS-cell round-robin uplink service; bits count at wired-core ingress.
+
+    In each slot every active BS splits its slot budget evenly over its
+    uplink flows; a flow moves its share or, under a finite demand, its
+    backlog if that is smaller.
+    """
+    delivered = np.zeros(len(table.src), dtype=np.float64)
     if cfg.W_I <= 0.0:
         return delivered
     slot_budget = (min(cfg.C_I, bs_concurrency(cfg)) / cfg.C_I) * cfg.W_I   # bits per active slot
-
-    flows_of_bs: dict[int, list[int]] = {}
-    for i, f in enumerate(table.flows):
-        if f.mode is Mode.INFRA:
-            flows_of_bs.setdefault(f.uplink_bs, []).append(i)
-    if not flows_of_bs:
-        return delivered
-    frame = bs_schedule.frame_length
-    slot_of = bs_schedule.slot_of_bs_cell
-    backlog = np.asarray([
-        0.0 if table.flows[i].rate is not None else math.inf
-        for i in range(n_flows)])
-    rate = np.asarray([
-        table.flows[i].rate if table.flows[i].rate is not None else 0.0
-        for i in range(n_flows)])
-    bs_list = [(bs, np.asarray(ids)) for bs, ids in sorted(flows_of_bs.items())]
+    infra = np.flatnonzero(~table.adhoc)
+    bs = table.uplink_bs[infra]
+    share = slot_budget / np.bincount(bs)[bs]
+    slot_of = bs_schedule.slot_of_bs_cell[bs]
+    # Per BS frame slot: positions into `infra` of the flows served then.
+    served = [np.flatnonzero(slot_of == s) for s in range(bs_schedule.frame_length)]
+    # A saturated source's backlog stays infinite.
+    backlog = np.full(len(infra), math.inf if demand is None else 0.0)
+    feed = 0.0 if demand is None else demand
     for t in range(horizon):
-        finite = np.isfinite(backlog)
-        if finite.any():
-            backlog[finite] += rate[finite]
-        active = t % frame
-        measured = t >= warmup
-        for bs, ids in bs_list:
-            if slot_of[bs] != active:
-                continue
-            share = slot_budget / len(ids)
-            moved = np.minimum(backlog[ids], share)
-            # Redistribute slack from rate-limited flows to saturated ones.
-            slack = float(share * len(ids) - moved.sum())
-            if slack > 1e-12:
-                hungry = ~np.isfinite(backlog[ids])
-                if hungry.any():
-                    moved = moved + np.where(hungry, slack / hungry.sum(), 0.0)
-            sub = np.isfinite(backlog[ids])
-            if sub.any():
-                backlog[ids[sub]] -= moved[sub]
-            if measured:
-                delivered[ids] += moved
+        backlog += feed
+        now = served[t % bs_schedule.frame_length]
+        moved = np.minimum(backlog[now], share[now])
+        backlog[now] -= moved
+        if t >= warmup:
+            delivered[infra[now]] += moved
     return delivered
 
 
@@ -276,7 +270,7 @@ METRICS_CSV_HEADER = [
     "antenna_mode", "theta", "phi", "seed", "horizon",
     "lambda_measured", "T_A", "T_I", "D_a", "D_i", "D",
     "n_t", "audit", "adhoc_flows", "infra_flows", "fallback_flows",
-    "mean_adhoc_hops", "hop_histogram",
+    "mean_adhoc_hops", "hop_histogram", "fallback_empty_cell", "fallback_hop_budget",
 ]
 
 
@@ -291,6 +285,7 @@ def report_csv_row(cfg: NetworkConfig, report: MetricsReport) -> list:
         report.n_t, report.audit, report.adhoc_flow_count,
         report.infra_flow_count, report.fallback_flow_count,
         report.mean_adhoc_hops, hist,
+        report.fallback_empty_cell, report.fallback_hop_budget,
     ]
 
 

@@ -9,6 +9,10 @@ id on ties) or, with `rotate`, its first feasible member counting from
 position `src mod size` in id order; each step commits the offer with the
 most forward progress (the earliest corridor cell on ties).  It is slow and
 kept only as the oracle the batched walker is compared against.
+
+The scalar eligibility rule (`decide_mode`) and the exact per-cell line count
+(`lines_through_cell`, on `segment_intersects_square`) are the oracles for
+`assign_flows`' eligibility column and `lines_per_cell`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,64 @@ from __future__ import annotations
 import math
 
 from mcis.errors import EmptyCellError, HopBudgetExceededError
-from mcis.routing import LANES
+from mcis.routing import LANES, Mode
+
+
+def decide_mode(src_pos, dst_pos, H: int, tx_range: float) -> Mode:
+    """Ad hoc iff the destination lies in the H-hop disk of radius H * r(n)."""
+    dx = dst_pos[0] - src_pos[0]
+    dy = dst_pos[1] - src_pos[1]
+    if math.hypot(dx, dy) <= H * tx_range:
+        return Mode.ADHOC
+    return Mode.INFRA
+
+
+def segment_intersects_square(x0, y0, x1, y1, left, bottom, side) -> bool:
+    """Exact closed-segment vs closed-axis-aligned-square intersection test."""
+    right = left + side
+    top = bottom + side
+    # Quick accept: an endpoint inside.
+    if left <= x0 <= right and bottom <= y0 <= top:
+        return True
+    if left <= x1 <= right and bottom <= y1 <= top:
+        return True
+    # Separating axis for segment vs box (slab clipping).
+    dx = x1 - x0
+    dy = y1 - y0
+    t0, t1 = 0.0, 1.0
+    for p, q_low, q_high in ((dx, left - x0, right - x0), (dy, bottom - y0, top - y0)):
+        if p == 0.0:
+            if q_low > 0.0 or q_high < 0.0:
+                return False
+            continue
+        ta = q_low / p
+        tb = q_high / p
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 > t1:
+            return False
+    return True
+
+
+def lines_through_cell(table, cell, topology) -> int:
+    """Exact count of ad hoc S-D segments intersecting the cell's closed square."""
+    s = topology.cell_side_count
+    side = 1.0 / s
+    row, col = cell
+    left = col * side
+    bottom = row * side
+    pos = topology.node_positions
+    count = 0
+    for flow in table.flows:
+        if flow.mode is not Mode.ADHOC:
+            continue
+        x0, y0 = pos[flow.src]
+        x1, y1 = pos[flow.dst]
+        if segment_intersects_square(x0, y0, x1, y1, left, bottom, side):
+            count += 1
+    return count
 
 
 def corridor_cells(x0, y0, x1, y1, s):

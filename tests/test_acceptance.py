@@ -141,7 +141,7 @@ def test_criterion_3_schedule_soundness():
             ok, detail = False, f"case {case}: {sched.edge_color_count} edge colors"
             break
         # Vertex-coloring properness and bound on the interference graph.
-        hops = [(t, r) for _, _, t, r in flow_hops(table.flows)]
+        hops = flow_hops(table)[:, 2:]
         graph = build_interference_graph(topo, hops, params)
         colors = vertex_color(graph)
         if colors.max() > graph.max_degree() + 1:
@@ -254,7 +254,7 @@ def test_criterion_7_concentration():
         cfg_seed = cfg.with_overrides(rng_seed=seed)
         topo = build_cell_grid(cfg_seed)
         table = assign_flows(topo, cfg_seed, seed=seed)
-        n_t = sum(1 for f in table.flows if f.eligible_adhoc)
+        n_t = int(table.eligible.sum())
         if 0.5 * nt_expect <= n_t <= 1.5 * nt_expect:
             nt_pass += 1
         if lines_per_cell(table, topo).max() <= line_bound:
@@ -274,7 +274,7 @@ def test_criterion_8_directional_collapse():
                                  theta=TWO_PI, phi=TWO_PI)
     topo = build_cell_grid(cfg_o)
     table = assign_flows(topo, cfg_o, seed=6)
-    hops = [(t, r) for _, _, t, r in flow_hops(table.flows)]
+    hops = flow_hops(table)[:, 2:]
     g_o = build_interference_graph(topo, hops, InterferenceParams.from_config(cfg_o))
     g_d = build_interference_graph(topo, hops, InterferenceParams.from_config(cfg_d))
     graphs_equal = (np.array_equal(g_o.nodes, g_d.nodes)

@@ -236,3 +236,42 @@ def test_missing_input_file_exits_1(tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert str(missing) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("param,value", [("n", "1e3"), ("m", "abc")],
+                         ids=["n-float-text", "m-not-a-number"])
+def test_sweep_value_of_wrong_kind_exits_1(tmp_path, capsys, param, value):
+    path, cfg = write_cfg(tmp_path, n=100)
+    assert main(["sweep", "--config", str(path), "--param", param,
+                 "--values", value, "--horizon", "27"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and param in err and err.count("\n") == 1
+
+
+def test_sweep_antenna_mode_by_name(tmp_path):
+    path, cfg = write_cfg(tmp_path, n=100)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--param", "antenna_mode",
+                 "--values", "omni,directional", "--horizon", "27",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["swept_value"], r["antenna_mode"]) for r in rows] == [
+        ("omni", "omni"), ("directional", "directional")]
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+@pytest.mark.parametrize("n", [0, 2])
+def test_fewer_than_three_nodes_exits_1(tmp_path, capsys, command, n):
+    path, cfg = write_cfg(tmp_path, n=n)
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n >= 3" in err
+
+
+def test_fit_non_numeric_cell_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("x,meas,pred\n10,1,1\n20,oops,1\n40,1\n")
+    assert main(["fit", "--csv", str(csv_path), "--x", "x",
+                 "--measured", "meas", "--predicted", "pred"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "'oops'" in err and err.count("\n") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from routing_oracle import segment_intersects_square
 from scipy import stats
 
 from mcis.config import AntennaMode, validate_config
@@ -15,7 +16,6 @@ from mcis.geometry import (
     grid_index,
     place_bs,
     place_nodes,
-    segment_intersects_square,
     supercover_cells,
     transmission_range,
 )

@@ -124,8 +124,8 @@ def test_interference_graph_full_beam_matches_omni():
     cfg = make_cfg(n=150, rng_seed=11)
     topo = build_cell_grid(cfg)
     table = assign_flows(topo, cfg, seed=11)
-    hops = [(t, r) for _, _, t, r in flow_hops(table.flows)]
-    if not hops:
+    hops = flow_hops(table)[:, 2:]
+    if len(hops) == 0:
         pytest.skip("no ad hoc hops drawn")
     g_omni = build_interference_graph(topo, hops, omni())
     g_dir = build_interference_graph(topo, hops, directional())
@@ -137,7 +137,7 @@ def test_interference_graph_full_beam_matches_omni():
 def routed(cfg):
     topo = build_cell_grid(cfg)
     table = assign_flows(topo, cfg, seed=cfg.rng_seed)
-    hops = [(t, r) for _, _, t, r in flow_hops(table.flows)]
+    hops = flow_hops(table)[:, 2:]
     return topo, hops, InterferenceParams.from_config(cfg)
 
 
@@ -206,8 +206,8 @@ def test_shrinking_phi_never_adds_edges():
     cfg = make_cfg(n=120, rng_seed=7, antenna_mode="directional")
     topo = build_cell_grid(cfg)
     table = assign_flows(topo, cfg, seed=7)
-    hops = [(t, r) for _, _, t, r in flow_hops(table.flows)]
-    if not hops:
+    hops = flow_hops(table)[:, 2:]
+    if len(hops) == 0:
         pytest.skip("no ad hoc hops drawn")
     prev = None
     for phi in [TWO_PI, math.pi, math.pi / 2, math.pi / 8]:

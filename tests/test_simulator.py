@@ -1,17 +1,22 @@
 import math
 
 import pytest
+from playback_oracle import play_adhoc, play_infra
+from test_routing import ROUTE_CASES
 
 from mcis.analytic import expected_hops
 from mcis.config import validate_config
 from mcis.errors import HorizonTooShortError, NoPacketsError
 from mcis.geometry import build_cell_grid
-from mcis.routing import assign_flows
-from mcis.scheduling import build_adhoc_schedule
+from mcis.routing import Flow, assign_flows
+from mcis.scheduling import build_adhoc_schedule, build_bs_schedule
 from mcis.simulator import (
     METRICS_CSV_HEADER,
+    _play_adhoc,
+    _play_infra,
     measure_delay,
     measure_throughput,
+    report_csv_row,
     report_to_csv,
     run,
 )
@@ -79,7 +84,7 @@ def test_measured_rates_match_schedule_structure():
     topo = build_cell_grid(cfg)
     table = assign_flows(topo, cfg, seed=2)
     sched = build_adhoc_schedule(topo, table, cfg)
-    alive = len(table.adhoc_flows)
+    alive = int(table.adhoc.sum())
     budget = cfg.W_A / (cfg.C_A * sched.edge_color_count * sched.minislot_count)
     rep = run(cfg, 2, 27, warmup_superframes=1)
     window = 27 - 9
@@ -154,3 +159,47 @@ def test_report_csv_round_trip():
     assert lines[0] == ",".join(METRICS_CSV_HEADER)
     assert len(lines) == 2
     assert report_to_csv(cfg, run(cfg, 4, 27)) == text
+
+
+@pytest.mark.parametrize("label", ROUTE_CASES)
+def test_playbacks_equal_slot_by_slot_oracle(label):
+    cfg, _ = ROUTE_CASES[label]
+    topo = build_cell_grid(cfg)
+    table = assign_flows(topo, cfg, seed=cfg.rng_seed)
+    sched = build_adhoc_schedule(topo, table, cfg)
+    bs_sched = build_bs_schedule(cfg.b0, 8)
+    horizon, frame = 45, bs_sched.frame_length
+    budget = cfg.W_A / (cfg.C_A * sched.edge_color_count * sched.minislot_count)
+    for demand in (None, 0.3 * budget, 0.01 * budget, 0.0):
+        for warmup in (0, horizon - frame):
+            bits, hops = _play_adhoc(cfg, sched, len(table.src), horizon, warmup, demand)
+            want_bits, want_hops = play_adhoc(cfg, table, sched, horizon, warmup, demand)
+            assert bits.tobytes() == want_bits.tobytes(), (demand, warmup)
+            assert hops.tobytes() == want_hops.tobytes()
+            infra = _play_infra(cfg, table, bs_sched, horizon, warmup, demand)
+            want = play_infra(cfg, table, bs_sched, horizon, warmup, demand)
+            assert infra.tobytes() == want.tobytes(), (demand, warmup)
+            if demand != 0.0:
+                assert bits.sum() > 0.0 and (cfg.W_I == 0.0 or infra.sum() > 0.0)
+
+
+def test_run_builds_no_flow_record(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("run built a Flow record")
+
+    monkeypatch.setattr(Flow, "__init__", refuse)
+    cfg = make_cfg(rng_seed=0)
+    for kwargs in ({}, {"demand": 0.05, "interior_margin": 0.1}):
+        rep = run(cfg, 0, 45, **kwargs)
+        assert rep.adhoc_flow_count > 0 and rep.infra_flow_count > 0
+
+
+def test_fallbacks_split_by_cause():
+    cfg = make_cfg(rng_seed=0)
+    rep = run(cfg, 0, 45)
+    assert rep.fallback_empty_cell > 0 and rep.fallback_hop_budget > 0
+    assert rep.fallback_empty_cell + rep.fallback_hop_budget == rep.fallback_flow_count
+    row = dict(zip(METRICS_CSV_HEADER, report_csv_row(cfg, rep)))
+    assert (row["fallback_empty_cell"], row["fallback_hop_budget"]) == (
+        rep.fallback_empty_cell, rep.fallback_hop_budget)
+    assert METRICS_CSV_HEADER[-2:] == ["fallback_empty_cell", "fallback_hop_budget"]
