@@ -21,7 +21,6 @@ from .analytic import (
     classify_regime,
     delay,
     expected_hops,
-    optimal_point,
     per_node_throughput,
     preset,
     prob_adhoc,
@@ -32,7 +31,6 @@ from .routing import (
     FlowTable,
     Mode,
     assign_flows,
-    build_adhoc_path,
 )
 from .scheduling import (
     AdHocSchedule,
@@ -42,13 +40,11 @@ from .scheduling import (
     build_bs_schedule,
     build_interference_graph,
     edge_color,
-    interferes,
     interfering_cell_bound,
-    minislot_of,
     verify_schedule,
     vertex_color,
 )
-from .simulator import MetricsReport, measure_delay, measure_throughput, run
+from .simulator import MetricsReport, build, play, run
 from .fitting import FitResult, fit_scaling
 
 __version__ = "0.1.0"

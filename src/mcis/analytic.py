@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .config import TWO_PI, AntennaMode, NetworkConfig
+from .config import TWO_PI, AntennaMode, NetworkConfig, require_network
 from .geometry import _loglog_term, transmission_range
 
 
@@ -204,6 +204,7 @@ def preset(kind: str, n: int, W: float) -> dict:
 
 def apply_preset(cfg: NetworkConfig, kind: str) -> NetworkConfig:
     """Merge preset overrides into a config, keeping the splits consistent."""
+    require_network(cfg)
     over = preset(kind, cfg.n, cfg.W)
     if "W_A" in over:
         over.setdefault("W", over["W_A"] + 2.0 * over.get("W_I", cfg.W_I))
@@ -211,20 +212,3 @@ def apply_preset(cfg: NetworkConfig, kind: str) -> NetworkConfig:
         over["C"] = over["C_A"] + over.get("C_I", cfg.C_I)
     return cfg.with_overrides(**over)
 
-
-@dataclass(frozen=True)
-class OptimalPoint:
-    lambda_opt: float
-    d_opt: float
-
-
-def optimal_point(cfg: NetworkConfig) -> OptimalPoint:
-    """Best achievable per-node throughput and the delay at that point.
-
-    Evaluated at the infrastructure-dominant split (W_I -> W/2): per-node
-    throughput min(1, b/n) * W, delay c / min(C_I, m).
-    """
-    return OptimalPoint(
-        lambda_opt=min(1.0, cfg.b / cfg.n) * cfg.W,
-        d_opt=cfg.bs_service_constant / min(cfg.C_I, cfg.m),
-    )

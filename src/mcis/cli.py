@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from . import analytic
-from .config import dump_config, load_config_file
+from .config import dump_config, load_config_file, require_network
 from .errors import ConfigError, DegenerateFitError, McisError
 from .fitting import fit_scaling
 from .harness import SweepSpec, run_sweep, simulate_table, sweep_to_csv
-from .simulator import require_network, run
+from .routing import flow_table_to_csv
+from .scheduling import schedule_to_csv
+from .simulator import build, check_run, play
 from .svgplot import render_plot
 
 EXIT_OK = 0
@@ -56,21 +59,16 @@ def cmd_classify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    report = run(cfg, cfg.rng_seed, args.horizon, k8=args.k8,
-                 warmup_superframes=args.warmup,
-                 interior_margin=args.interior_margin)
+    check_run(cfg, args.horizon, args.k8, args.warmup)
+    network = build(cfg, cfg.rng_seed)
+    report = play(cfg, network, cfg.rng_seed, args.horizon, k8=args.k8,
+                  warmup_superframes=args.warmup, interior_margin=args.interior_margin)
     _write(args.out, simulate_table(cfg, report))
-    if args.dump_flows or args.dump_schedule:
-        from .geometry import build_cell_grid
-        from .routing import assign_flows, flow_table_to_csv
-        from .scheduling import build_adhoc_schedule, schedule_to_csv
-        topo = build_cell_grid(cfg)
-        table = assign_flows(topo, cfg, cfg.rng_seed)
-        if args.dump_flows:
-            _write(args.dump_flows, flow_table_to_csv(table))
-        if args.dump_schedule:
-            _write(args.dump_schedule,
-                   schedule_to_csv(build_adhoc_schedule(topo, table, cfg)))
+    _, table, schedule = network
+    if args.dump_flows:
+        _write(args.dump_flows, flow_table_to_csv(table))
+    if args.dump_schedule:
+        _write(args.dump_schedule, schedule_to_csv(schedule))
     return EXIT_OK
 
 
@@ -102,10 +100,13 @@ def _read_csv_columns(path: str, names: list) -> list:
     for line, row in enumerate(rows, start=2):
         for column, name in zip(columns, names):
             try:
-                column.append(float(row[name]))
+                value = float(row[name])
             except (TypeError, ValueError):     # TypeError: a short row's None
-                raise McisError(f"{path} line {line}: column {name!r} needs a number, "
-                                f"got {row[name]!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise McisError(f"{path} line {line}: column {name!r} needs a finite "
+                                f"number, got {row[name]!r}")
+            column.append(value)
     return columns
 
 

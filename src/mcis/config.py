@@ -59,7 +59,7 @@ class NetworkConfig:
             raise ConfigError(f"n must be nonnegative, got {self.n}")
         b0 = self.b0
         if b0 == 0:
-            b0 = math.isqrt(self.b)
+            b0 = math.isqrt(max(self.b, 0))
             object.__setattr__(self, "b0", b0)
         if b0 < 1 or b0 * b0 != self.b:
             raise NonSquareBsError(f"b={self.b} is not a perfect square (b0={b0})")
@@ -96,6 +96,12 @@ class NetworkConfig:
         return replace(self, **overrides)
 
 
+def require_network(cfg: NetworkConfig) -> None:
+    """The cell-size rule, the analytic thresholds and the presets need n >= 3."""
+    if cfg.n < 3:
+        raise ConfigError(f"a network needs n >= 3 nodes, got n={cfg.n}")
+
+
 _INT_FIELDS = {"n", "b", "b0", "m", "C", "C_A", "C_I", "H", "rng_seed"}
 _FLOAT_FIELDS = {"W", "W_A", "W_I", "delta", "theta", "phi",
                  "bs_service_constant", "r_factor"}
@@ -103,8 +109,9 @@ _FLOAT_FIELDS = {"W", "W_A", "W_I", "delta", "theta", "phi",
 
 def coerce_value(key: str, value):
     """One config value converted to its field's type; ConfigError for an
-    unknown key or a value of the wrong kind.  `antenna_mode` accepts the
-    strings "omni" and "directional"."""
+    unknown key or a value of the wrong kind, such as a float that is not a
+    whole number for an integer field.  `antenna_mode` accepts the strings
+    "omni" and "directional"."""
     if key not in {f.name for f in fields(NetworkConfig)}:
         raise ConfigError(f"unknown config key: {key}")
     if key == "antenna_mode":
@@ -116,6 +123,8 @@ def coerce_value(key: str, value):
             raise ConfigError(
                 f"antenna_mode must be omni or directional, got {value!r}") from None
     kind, noun = (int, "an integer") if key in _INT_FIELDS else (float, "a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key} needs {noun}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):

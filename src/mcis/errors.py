@@ -33,14 +33,6 @@ class DegenerateScaleError(McisError):
     """H^2 * ln(n) <= e: the iterated logarithm in the cell-size rule is undefined."""
 
 
-class EmptyCellError(McisError):
-    """No forward relay is reachable; the multi-hop chain cannot proceed."""
-
-
-class HopBudgetExceededError(McisError):
-    """A relay chain would need more than H hops."""
-
-
 class ClusterMismatchError(McisError):
     """BS round-robin frame length k8+1 is not a perfect square."""
 
@@ -51,10 +43,6 @@ class ScheduleInvalidError(McisError):
 
 class HorizonTooShortError(McisError):
     """Simulation horizon shorter than one full TDMA super-frame."""
-
-
-class NoPacketsError(McisError):
-    """Delay statistics requested but the run delivered no packets."""
 
 
 class DegenerateFitError(McisError):

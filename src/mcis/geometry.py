@@ -119,17 +119,6 @@ class Topology:
     def n(self) -> int:
         return len(self.node_positions)
 
-    def cell_members(self, row: int, col: int) -> list[int]:
-        cell = row * self.cell_side_count + col
-        return self.cell_nodes[self.cell_start[cell]:self.cell_start[cell + 1]].tolist()
-
-    def bs_cell_of(self, x: float, y: float) -> int:
-        """Flattened index of the BS-cell (= BS id) containing the point."""
-        b0 = self.bs_cell_side_count
-        row = int(grid_index(np.asarray([y]), b0)[0])
-        col = int(grid_index(np.asarray([x]), b0)[0])
-        return row * b0 + col
-
 
 def grid_index(coords: np.ndarray, s: int) -> np.ndarray:
     """Map coordinates in [0,1] to cell indices in [0, s).
@@ -162,58 +151,3 @@ def build_cell_grid(cfg: NetworkConfig, positions: np.ndarray = None,
         tx_range=transmission_range(cfg.n, cfg.r_factor) if cfg.n >= 2 else 0.0,
     )
 
-
-def supercover_cells(x0: float, y0: float, x1: float, y1: float, s: int) -> list:
-    """Cells of an s x s unit grid crossed by the closed segment, in order.
-
-    Covers every cell whose closed square the segment intersects with
-    positive overlap; exact corner grazes may add the diagonal neighbours.
-    """
-    eps = 1e-12
-    cx = min(int(x0 * s), s - 1)
-    cy = min(int(y0 * s), s - 1)
-    ex = min(int(x1 * s), s - 1)
-    ey = min(int(y1 * s), s - 1)
-    cells = [(cy, cx)]
-    dx = x1 - x0
-    dy = y1 - y0
-    step_x = 1 if dx > 0 else -1
-    step_y = 1 if dy > 0 else -1
-    # Parametric distance to the next vertical / horizontal grid line.
-    if abs(dx) < eps:
-        t_max_x = math.inf
-        t_dx = math.inf
-    else:
-        next_x = (cx + (1 if step_x > 0 else 0)) / s
-        t_max_x = (next_x - x0) / dx
-        t_dx = abs(1.0 / (s * dx))
-    if abs(dy) < eps:
-        t_max_y = math.inf
-        t_dy = math.inf
-    else:
-        next_y = (cy + (1 if step_y > 0 else 0)) / s
-        t_max_y = (next_y - y0) / dy
-        t_dy = abs(1.0 / (s * dy))
-    while (cy, cx) != (ey, ex):
-        if t_max_x < t_max_y - eps:
-            cx += step_x
-            t_max_x += t_dx
-        elif t_max_y < t_max_x - eps:
-            cy += step_y
-            t_max_y += t_dy
-        else:
-            # Corner crossing: include both side cells, then step diagonally.
-            if 0 <= cx + step_x < s:
-                cells.append((cy, cx + step_x))
-            if 0 <= cy + step_y < s:
-                cells.append((cy + step_y, cx))
-            cx += step_x
-            cy += step_y
-            t_max_x += t_dx
-            t_max_y += t_dy
-        if not (0 <= cx < s and 0 <= cy < s):
-            break
-        cells.append((cy, cx))
-        if len(cells) > 4 * s + 4:    # straight segments cannot visit more
-            raise RuntimeError("grid walk failed to terminate")
-    return cells

@@ -33,6 +33,9 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one seed")
         if self.k8 < 0:
             raise ConfigError(f"k8 must be >= 0, got {self.k8}")
+        if self.warmup_superframes < 0:
+            raise ConfigError(
+                f"warm-up must be >= 0 super-frames, got {self.warmup_superframes}")
 
 
 def point_config(base: NetworkConfig, spec: SweepSpec, value) -> NetworkConfig:
@@ -85,7 +88,8 @@ def analytic_columns(cfg: NetworkConfig) -> list:
 
 def run_sweep(base: NetworkConfig, spec: SweepSpec, workers: int = 1) -> list:
     """One run per (value, seed); rows ordered by (value, seed) regardless of
-    completion order.  A failing point aborts with the point identified."""
+    completion order.  A failing point aborts with the point identified, as
+    an error of the failure's own type."""
     tasks = []
     for value in spec.values:
         cfg = point_config(base, spec, value)
@@ -103,7 +107,7 @@ def run_sweep(base: NetworkConfig, spec: SweepSpec, workers: int = 1) -> list:
     except McisError as exc:
         done = len(results)
         _, value, seed, _ = tasks[done]
-        raise McisError(
+        raise type(exc)(
             f"sweep point {spec.param}={value} seed={seed} failed: {exc}") from exc
     finally:
         if workers > 1:

@@ -9,12 +9,11 @@ One feasibility rule picks relays: a candidate must not be the source, the
 destination or an earlier relay, must lie within r(n) of the current node,
 strictly ahead of it along the segment, and inside the corridor of LANES
 flanking cells each side of the line.  Each corridor cell offers one feasible
-member, by one of two rules: the member closest to the line (lowest id on
-ties) for a single path, or, when `assign_flows` balances relay load, the
-first counting from position `src mod size` in the cell's id order (a
-stateless rotation, so flows are independent of each other).  The walk
-commits the offer with the most forward progress, the earliest corridor cell
-on ties.  All flows of a block are stepped together in numpy.
+member: the first counting from position `src mod size` in the cell's id
+order.  This stateless rotation spreads the flows crossing a cell over its
+members and keeps flows independent of each other.  The walk commits the
+offer with the most forward progress, the earliest corridor cell on ties.
+All flows of a block are stepped together in numpy.
 
 The flow table is columnar: one array per field, one row per flow, and the
 relay chains in one CSR pair (`path_start`, `path_nodes`).  `FlowTable.flows`
@@ -33,8 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import EmptyCellError, HopBudgetExceededError
-from .geometry import Topology, grid_index, supercover_cells
+from .geometry import Topology, grid_index
 
 
 class Mode(Enum):
@@ -46,7 +44,6 @@ class Mode(Enum):
 # (`FlowTable.fallback_cause`); 0 for every other flow.
 EMPTY_CELL = 1      # no reachable forward relay
 HOP_BUDGET = 2      # the chain would exceed H hops
-FALLBACK_ERRORS = {EMPTY_CELL: EmptyCellError, HOP_BUDGET: HopBudgetExceededError}
 
 
 @dataclass
@@ -189,15 +186,14 @@ def _corridors(x0, y0, x1, y1, s):
     return np.broadcast_to(seg[:, None], lane.shape)[inside], cells[inside]
 
 
-def _walk_flows(topology, src, dst, max_hops, rotate):
+def _walk_flows(topology, src, dst, max_hops):
     """Relay chains for the flows src[i] -> dst[i] (integer arrays).
 
     Returns (cause, count, relays): each flow's fallback cause (0 when its
     walk reached the destination, else EMPTY_CELL or HOP_BUDGET), its number
     of relays (0 for a flow whose walk failed), and all relays, flow by flow
-    and each flow's in order.  Each cell offers by the rotation rule when `rotate` is
-    set, else its member closest to the line.  Flows whose destination is in
-    range need no relay; the others are walked BLOCK at a time.
+    and each flow's in order.  Flows whose destination is in range need no
+    relay; the others are walked BLOCK at a time.
     """
     pos = topology.node_positions
     gap = pos[dst] - pos[src]
@@ -209,12 +205,12 @@ def _walk_flows(topology, src, dst, max_hops, rotate):
     for lo in range(0, len(far), BLOCK):
         block = far[lo:lo + BLOCK]
         cause[block], count[block], block_relays = _walk_block(
-            topology, src[block], dst[block], max_hops, rotate)
+            topology, src[block], dst[block], max_hops)
         relays.append(block_relays)
     return cause, count, np.concatenate(relays)
 
 
-def _walk_block(topology, src, dst, max_hops, rotate):
+def _walk_block(topology, src, dst, max_hops):
     """Step every flow of the block together; no destination is in range.
 
     A flow's candidates are the members of its corridor cells, other than
@@ -222,7 +218,7 @@ def _walk_block(topology, src, dst, max_hops, rotate):
     corridor's reach, sorted by progress t along the segment.  Each step
     takes, per flow, the candidates with t in (cur_t, cur_t + r / |SD|]
     that lie within r of the current node; each corridor cell offers its
-    one with the lowest key, and the offer with the most progress is
+    first one in rotation order, and the offer with the most progress is
     committed.  Earlier relays have t <= cur_t, so no banned set is needed.
     Returns (cause, count, relays) for the block, as `_walk_flows` does.
     """
@@ -253,14 +249,10 @@ def _walk_block(topology, src, dst, max_hops, rotate):
     perp = np.abs((px - sx[f]) * ddy[f] - (py - sy[f]) * ddx[f])
     keep = np.flatnonzero((node != src[f]) & (node != dst[f]) & (perp <= corridor[f]))
     node, f, entry, t, px, py = (a[keep] for a in (node, f, entry, t, px, py))
-    if rotate:
-        # First member counting from position src mod size, in id order.
-        offer_order = np.lexsort(((place[keep] - src[f]) % size[entry], entry))
-    else:
-        # Closest to the line, lowest id on ties.
-        offer_order = np.lexsort((node, perp[keep], entry))
+    # Rotation order: members from position src mod size on, in id order.
     # A cell offers its feasible candidate with the lowest key; keys follow
     # the corridor order across cells, so sorting by key groups the cells.
+    offer_order = np.lexsort(((place[keep] - src[f]) % size[entry], entry))
     key = np.empty(len(node), dtype=np.int64)
     key[offer_order] = np.arange(len(node))
     search = _search_key(f, t)
@@ -317,31 +309,12 @@ def _walk_block(topology, src, dst, max_hops, rotate):
     return cause, np.where(ok, steps, 0), relays[ok[walked_flow[by_flow]]]
 
 
-def build_adhoc_path(src: int, dst: int, topology: Topology,
-                     max_hops: int | None = None) -> list:
-    """Relay sequence for one ad hoc flow, each relay closest to the line.
-
-    Raises EmptyCellError when no forward relay is reachable and
-    HopBudgetExceededError past max_hops (default: unbounded).
-    """
-    if max_hops is None:
-        max_hops = topology.n
-    cause, _, relays = _walk_flows(topology, np.asarray([src]), np.asarray([dst]),
-                                   max_hops, rotate=False)
-    if cause[0]:
-        raise FALLBACK_ERRORS[int(cause[0])](
-            f"flow {src}->{dst}: no relay chain within {max_hops} hops")
-    return relays.tolist()
-
-
 def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int) -> FlowTable:
     """One flow per node to a uniform destination, relayed with balanced load.
 
     A node drawing itself redraws once and is dropped if it repeats.  Ad hoc
     eligible flows that cannot form a relay chain within the hop budget fall
-    back to infrastructure mode, with their cause recorded.  Relay cells
-    offer by the rotation rule, which spreads the flows crossing a cell over
-    its members.
+    back to infrastructure mode, with their cause recorded.
     """
     n = topology.n
     rng = np.random.default_rng(seed)
@@ -359,7 +332,7 @@ def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int) -> FlowTable
     cause = np.zeros(len(src), dtype=np.int8)
     count = np.zeros(len(src), dtype=np.int64)
     cause[eligible], count[eligible], relays = _walk_flows(
-        topology, src[eligible], dst[eligible], cfg.H, rotate=True)
+        topology, src[eligible], dst[eligible], cfg.H)
     adhoc = eligible & (cause == 0)
     path_start = np.zeros(len(src) + 1, dtype=np.int64)
     np.cumsum(count, out=path_start[1:])
@@ -373,27 +346,16 @@ def assign_flows(topology: Topology, cfg: NetworkConfig, seed: int) -> FlowTable
                      path_start=path_start, path_nodes=relays, per_node_load=load)
 
 
-def lines_per_cell(table: FlowTable, topology: Topology) -> np.ndarray:
-    """Supercover tally of ad hoc S-D lines for every cell (s x s array)."""
-    s = topology.cell_side_count
-    counts = np.zeros((s, s), dtype=np.int64)
-    pos = topology.node_positions
-    ends = np.column_stack([pos[table.src[table.adhoc]], pos[table.dst[table.adhoc]]])
-    for x0, y0, x1, y1 in ends.tolist():
-        for row, col in supercover_cells(x0, y0, x1, y1, s):
-            counts[row, col] += 1
-    return counts
-
-
 FLOW_CSV_HEADER = ["flow_id", "src", "dst", "mode", "hop_count", "bs_up", "bs_down"]
 
 
 def flow_table_to_csv(table: FlowTable) -> str:
     """Serialize the flow table with the stable documented header."""
+    hops = np.where(table.adhoc, np.diff(table.path_start) + 1, 0)
+    modes = np.where(table.adhoc, Mode.ADHOC.value, Mode.INFRA.value).tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FLOW_CSV_HEADER)
-    for i, f in enumerate(table.flows):
-        writer.writerow([i, f.src, f.dst, f.mode.value, f.hop_count,
-                         f.uplink_bs, f.downlink_bs])
+    writer.writerows(zip(range(len(modes)), table.src.tolist(), table.dst.tolist(), modes,
+                         hops.tolist(), table.uplink_bs.tolist(), table.downlink_bs.tolist()))
     return buf.getvalue()

@@ -5,9 +5,9 @@ color, so every node is in at most one hop per slot) subdivided into
 mini-slots: a vertex coloring of the transmitter interference graph maps each
 transmitter to (mini-slot, channel) = (ceil(s / C_A), (s mod C_A) + 1).
 The interference graph is built in one vectorized pass for both antenna
-modes, deduplicating its integer keys by sorting; the pairwise definition it
-must match lives in the test suite (`tests/conflict_oracle.py`) as the
-oracle.  `verify_schedule` audits a finished schedule with its own
+modes, deduplicating its integer keys by sorting; the scalar interference
+predicate and the pairwise definition the graph must match live in the test
+suite (`tests/conflict_oracle.py`) as the oracle.  `verify_schedule` audits a finished schedule with its own
 arithmetic, sharing no helper with the builder: a dense distance test per
 (slot, mini-slot, channel) group, then the transmitter and beam tests over
 all candidate pairs at once; its per-pair predecessor is the oracle in
@@ -17,6 +17,8 @@ Base-station cells run a round-robin frame of k8+1 slots over square clusters.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -39,37 +41,6 @@ class InterferenceParams:
     def from_config(cls, cfg: NetworkConfig) -> "InterferenceParams":
         return cls(delta=cfg.delta, mode=cfg.antenna_mode,
                    theta=cfg.theta, phi=cfg.phi)
-
-
-def _covers(origin, boresight: float, width: float, target) -> bool:
-    """Flat-top beam test: target within width/2 of the boresight direction."""
-    angle = math.atan2(target[1] - origin[1], target[0] - origin[0])
-    diff = (angle - boresight + math.pi) % TWO_PI - math.pi
-    return abs(diff) <= width / 2.0
-
-
-def interferes(tx_a, rx_a, tx_b, params: InterferenceParams, *,
-               tx_b_boresight: float | None = None,
-               rx_a_boresight: float | None = None) -> bool:
-    """Would tx_b's same-channel transmission corrupt the tx_a -> rx_a link?
-
-    Omni: dist(tx_b, rx_a) < (1 + delta) * dist(tx_a, rx_a).  Directional
-    additionally requires tx_b's beam to cover rx_a and rx_a's receive beam
-    (pointed at tx_a by default) to cover tx_b; unsupplied boresights default
-    to the worst case (tx_b aimed at rx_a).
-    """
-    link = math.hypot(rx_a[0] - tx_a[0], rx_a[1] - tx_a[1])
-    gap = math.hypot(rx_a[0] - tx_b[0], rx_a[1] - tx_b[1])
-    if gap >= (1.0 + params.delta) * link:
-        return False
-    if params.mode is AntennaMode.OMNI:
-        return True
-    if tx_b_boresight is None:
-        tx_b_boresight = math.atan2(rx_a[1] - tx_b[1], rx_a[0] - tx_b[0])
-    if rx_a_boresight is None:
-        rx_a_boresight = math.atan2(tx_a[1] - rx_a[1], tx_a[0] - rx_a[0])
-    return (_covers(tx_b, tx_b_boresight, params.phi, rx_a)
-            and _covers(rx_a, rx_a_boresight, params.phi, tx_b))
 
 
 @dataclass
@@ -95,15 +66,6 @@ class InterferenceGraph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        iu = int(np.searchsorted(self.nodes, u))
-        iv = int(np.searchsorted(self.nodes, v))
-        if iu >= self.order or self.nodes[iu] != u:
-            return False
-        if iv >= self.order or self.nodes[iv] != v:
-            return False
-        return iv in self.neighbors(iu)
 
     @classmethod
     def from_keys(cls, nodes: np.ndarray, key: np.ndarray) -> "InterferenceGraph":
@@ -273,13 +235,6 @@ def vertex_color(graph: InterferenceGraph) -> np.ndarray:
         used[colors[indices[indptr[i]:indptr[i + 1]]]] = True
         colors[i] = int(np.argmax(~used[1:])) + 1
     return colors
-
-
-def minislot_of(s: int, C_A: int) -> tuple[int, int]:
-    """Vertex color s >= 1 to (mini_slot, channel) = (ceil(s/C_A), (s mod C_A)+1)."""
-    if s < 1 or C_A < 1:
-        raise ValueError(f"need s >= 1 and C_A >= 1, got s={s}, C_A={C_A}")
-    return (s + C_A - 1) // C_A, (s % C_A) + 1
 
 
 def interfering_cell_bound(delta: float, mode: AntennaMode = AntennaMode.OMNI,
@@ -477,13 +432,10 @@ SCHEDULE_CSV_HEADER = ["slot", "mini_slot", "channel", "tx", "rx", "flow_id"]
 
 
 def schedule_to_csv(schedule: AdHocSchedule) -> str:
-    import csv as _csv
-    import io as _io
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCHEDULE_CSV_HEADER)
-    for i in range(schedule.hop_count):
-        writer.writerow([int(schedule.slot[i]), int(schedule.mini[i]),
-                         int(schedule.channel[i]), int(schedule.tx[i]),
-                         int(schedule.rx[i]), int(schedule.flow_id[i])])
+    writer.writerows(zip(schedule.slot.tolist(), schedule.mini.tolist(),
+                         schedule.channel.tolist(), schedule.tx.tolist(),
+                         schedule.rx.tolist(), schedule.flow_id.tolist()))
     return buf.getvalue()

@@ -1,4 +1,10 @@
-"""Fluid-model playback of the ad hoc TDMA frame and the BS round-robin frame.
+"""One run: build the network once, then play its two frames and measure them.
+
+`build` places the nodes, routes the flows and builds and audits the ad hoc
+schedule; `play` plays the ad hoc TDMA frame and the BS round-robin frame
+and computes the metrics.  `run` is `build` then `play`, and the CLI's
+`--dump-flows`/`--dump-schedule` write the network that the same `build`
+returned.
 
 Time unit: one slot = one second = one full ad hoc edge-color frame.  The BS
 frame spans k8+1 slots (one BS-cell per cluster active per slot).  Traffic is
@@ -16,17 +22,15 @@ serves each slot's flows with one masked update.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import bs_concurrency
-from .config import NetworkConfig
-from .errors import ConfigError, HorizonTooShortError, NoPacketsError, ScheduleInvalidError
-from .geometry import build_cell_grid
+from .config import NetworkConfig, require_network
+from .errors import ConfigError, HorizonTooShortError, ScheduleInvalidError
+from .geometry import Topology, build_cell_grid
 from .routing import EMPTY_CELL, HOP_BUDGET, FlowTable, assign_flows
 from .scheduling import (
     AdHocSchedule,
@@ -47,7 +51,7 @@ class MetricsReport:
     D: float                        # delivered-traffic-weighted mean delay
     hop_histogram: dict             # hop count -> delivering ad hoc flows
     n_t: int                        # sources whose destination was in ad hoc reach
-    audit: int                      # auditor violations (0 for accepted runs)
+    audit: int                      # auditor violations: 0, since `build` raises on any
     delivered_adhoc_bits: float
     delivered_infra_bits: float
     adhoc_flow_count: int
@@ -61,48 +65,75 @@ class MetricsReport:
     fallback_hop_budget: int        # fallbacks whose chain would exceed H hops
 
 
-def require_network(cfg: NetworkConfig) -> None:
-    """The cell-size rule and the analytic thresholds need n >= 3."""
-    if cfg.n < 3:
-        raise ConfigError(f"a network needs n >= 3 nodes, got n={cfg.n}")
+def check_run(cfg: NetworkConfig, horizon: int, k8: int, warmup_superframes: int) -> int:
+    """The warm-up in slots, once the run's arguments pass their checks.
 
-
-def run(cfg: NetworkConfig, seed: int, horizon: int, *,
-        k8: int = 8,
-        warmup_superframes: int = 2,
-        demand: float | None = None,
-        interior_margin: float = 0.0,
-        audit: bool = True) -> MetricsReport:
-    """Build topology, flows, and schedules for one seed, then play them.
-
-    horizon is in slots and must cover the warm-up plus at least one BS frame.
-    demand caps every flow at that many bits/sec (None = saturated sources).
-    interior_margin > 0 restricts the metrics to flows whose endpoints both
-    lie at least that far from the unit-square border (boundary-effect
-    filter); the schedule itself still carries every flow.  D_a is the
-    delivered-bit-weighted mean hop count (one slot per hop).
-    Raises ConfigError for n < 3 and ScheduleInvalidError if the auditor
-    finds any violation.
+    Raises ConfigError for n < 3, k8 < 0 or a negative warm-up, and
+    HorizonTooShortError unless the horizon covers the warm-up plus one BS
+    frame.
     """
     require_network(cfg)
     if k8 < 0:
         raise ConfigError(f"k8 must be >= 0, got {k8}")
+    if warmup_superframes < 0:
+        raise ConfigError(f"warm-up must be >= 0 super-frames, got {warmup_superframes}")
     frame = k8 + 1
     warmup = warmup_superframes * frame
     if horizon < frame or horizon <= warmup:
         raise HorizonTooShortError(
             f"horizon={horizon} slots does not cover warmup={warmup} plus one "
             f"{frame}-slot frame")
+    return warmup
+
+
+def run(cfg: NetworkConfig, seed: int, horizon: int, *,
+        k8: int = 8,
+        warmup_superframes: int = 2,
+        demand: float | None = None,
+        interior_margin: float = 0.0) -> MetricsReport:
+    """Build the network for one seed, then play it (see `build` and `play`).
+
+    The arguments are checked before anything is built.
+    """
+    check_run(cfg, horizon, k8, warmup_superframes)
+    return play(cfg, build(cfg, seed), seed, horizon, k8=k8,
+                warmup_superframes=warmup_superframes, demand=demand,
+                interior_margin=interior_margin)
+
+
+def build(cfg: NetworkConfig, seed: int) -> tuple[Topology, FlowTable, AdHocSchedule]:
+    """Topology, flow table and audited ad hoc schedule for one seed of a
+    network that passes `require_network`.
+
+    Raises ScheduleInvalidError if the auditor finds any violation.
+    """
     topology = build_cell_grid(cfg, positions=None)
     table = assign_flows(topology, cfg, seed)
     schedule = build_adhoc_schedule(topology, table, cfg)
-    violations = 0
-    if audit:
-        found = verify_schedule(schedule, topology, InterferenceParams.from_config(cfg))
-        violations = len(found)
-        if violations:
-            raise ScheduleInvalidError(
-                f"{violations} violations, first: {found[0]}")
+    found = verify_schedule(schedule, topology, InterferenceParams.from_config(cfg))
+    if found:
+        raise ScheduleInvalidError(f"{len(found)} violations, first: {found[0]}")
+    return topology, table, schedule
+
+
+def play(cfg: NetworkConfig, network: tuple[Topology, FlowTable, AdHocSchedule],
+         seed: int, horizon: int, *,
+         k8: int = 8,
+         warmup_superframes: int = 2,
+         demand: float | None = None,
+         interior_margin: float = 0.0) -> MetricsReport:
+    """Play a built network's two frames and measure them.
+
+    horizon is in slots and must cover the warm-up plus at least one BS frame.
+    demand caps every flow at that many bits/sec (None = saturated sources).
+    interior_margin > 0 restricts the metrics to flows whose endpoints both
+    lie at least that far from the unit-square border (boundary-effect
+    filter); the schedule itself still carries every flow.  D_a is the
+    delivered-bit-weighted mean hop count (one slot per hop).  Raises as
+    `check_run` does.
+    """
+    warmup = check_run(cfg, horizon, k8, warmup_superframes)
+    topology, table, schedule = network
     bs_schedule = build_bs_schedule(cfg.b0, k8)
 
     window = float(horizon - warmup)
@@ -141,7 +172,7 @@ def run(cfg: NetworkConfig, seed: int, horizon: int, *,
         T_A=t_a, T_I=t_i, D_a=mean_hops, D_i=d_i, D=d,
         hop_histogram=dict(zip(hops.tolist(), flows.tolist())),
         n_t=int(np.count_nonzero(table.eligible)),
-        audit=violations,
+        audit=0,
         delivered_adhoc_bits=total_a,
         delivered_infra_bits=total_i,
         adhoc_flow_count=adhoc_flows,
@@ -249,22 +280,6 @@ def _play_infra(cfg: NetworkConfig, table: FlowTable, bs_schedule,
     return delivered
 
 
-def measure_throughput(report: MetricsReport) -> dict:
-    """Per-node and per-mode throughput from a completed run."""
-    return {
-        "lambda_measured": report.per_node_throughput,
-        "T_A": report.T_A,
-        "T_I": report.T_I,
-    }
-
-
-def measure_delay(report: MetricsReport) -> dict:
-    """Delay decomposition; requires at least one delivered packet."""
-    if report.delivered_adhoc_bits <= 0.0 and report.delivered_infra_bits <= 0.0:
-        raise NoPacketsError("run delivered no traffic")
-    return {"D_a": report.D_a, "D_i": report.D_i, "D": report.D}
-
-
 METRICS_CSV_HEADER = [
     "n", "b", "m", "C", "C_A", "C_I", "W", "W_A", "W_I", "H", "delta",
     "antenna_mode", "theta", "phi", "seed", "horizon",
@@ -288,10 +303,3 @@ def report_csv_row(cfg: NetworkConfig, report: MetricsReport) -> list:
         report.fallback_empty_cell, report.fallback_hop_budget,
     ]
 
-
-def report_to_csv(cfg: NetworkConfig, report: MetricsReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_CSV_HEADER)
-    writer.writerow(report_csv_row(cfg, report))
-    return buf.getvalue()

@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
+from conflict_oracle import interferes
 from mcis.config import AntennaMode
 from mcis.geometry import Topology
-from mcis.scheduling import AdHocSchedule, InterferenceParams, Violation, interferes
+from mcis.scheduling import AdHocSchedule, InterferenceParams, Violation
 
 
 def verify_schedule_exact(schedule: AdHocSchedule, topology: Topology,

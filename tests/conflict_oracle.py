@@ -1,9 +1,11 @@
 """Pairwise reference for `mcis.scheduling.build_interference_graph`.
 
-The scan follows the definition literally: every pair of transmitters within
-reach is tested with the scalar `interferes` predicate, once per hop of the
-victim and, in directional mode, once per beam of the interferer.  It is slow
-and kept only as the oracle the vectorized builder is compared against.
+`interferes` states the interference model for one link and one competing
+transmitter.  The scan follows the definition literally: every pair of
+transmitters within reach is tested with it, once per hop of the victim and,
+in directional mode, once per beam of the interferer.  It is slow and kept
+only as the oracle the vectorized builder (and, through `audit_oracle`, the
+schedule auditor) is compared against.
 """
 
 from __future__ import annotations
@@ -13,8 +15,39 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from mcis.config import AntennaMode
-from mcis.scheduling import InterferenceGraph, _hop_arrays, interferes
+from mcis.config import TWO_PI, AntennaMode
+from mcis.scheduling import InterferenceGraph, InterferenceParams, _hop_arrays
+
+
+def _covers(origin, boresight: float, width: float, target) -> bool:
+    """Flat-top beam test: target within width/2 of the boresight direction."""
+    angle = math.atan2(target[1] - origin[1], target[0] - origin[0])
+    diff = (angle - boresight + math.pi) % TWO_PI - math.pi
+    return abs(diff) <= width / 2.0
+
+
+def interferes(tx_a, rx_a, tx_b, params: InterferenceParams, *,
+               tx_b_boresight: float | None = None,
+               rx_a_boresight: float | None = None) -> bool:
+    """Would tx_b's same-channel transmission corrupt the tx_a -> rx_a link?
+
+    Omni: dist(tx_b, rx_a) < (1 + delta) * dist(tx_a, rx_a).  Directional
+    additionally requires tx_b's beam to cover rx_a and rx_a's receive beam
+    (pointed at tx_a by default) to cover tx_b; unsupplied boresights default
+    to the worst case (tx_b aimed at rx_a).
+    """
+    link = math.hypot(rx_a[0] - tx_a[0], rx_a[1] - tx_a[1])
+    gap = math.hypot(rx_a[0] - tx_b[0], rx_a[1] - tx_b[1])
+    if gap >= (1.0 + params.delta) * link:
+        return False
+    if params.mode is AntennaMode.OMNI:
+        return True
+    if tx_b_boresight is None:
+        tx_b_boresight = math.atan2(rx_a[1] - tx_b[1], rx_a[0] - tx_b[0])
+    if rx_a_boresight is None:
+        rx_a_boresight = math.atan2(tx_a[1] - rx_a[1], tx_a[0] - rx_a[0])
+    return (_covers(tx_b, tx_b_boresight, params.phi, rx_a)
+            and _covers(rx_a, rx_a_boresight, params.phi, tx_b))
 
 
 def conflict_pairs_exact(pos, tx, rx, params) -> np.ndarray:

@@ -1,26 +1,44 @@
-"""Per-flow reference for the batched relay walk in `mcis.routing`.
+"""Per-flow references for `mcis.routing` and the cell grids it reads.
 
 The walk follows the feasibility rule one flow and one corridor cell at a
 time: a candidate must not be the source, the destination or an earlier
 relay, must lie within r(n) of the current node, strictly ahead of it along
 the segment, and inside the corridor of LANES flanking cells each side of
-the line.  Each cell offers its feasible member closest to the line (lowest
-id on ties) or, with `rotate`, its first feasible member counting from
-position `src mod size` in id order; each step commits the offer with the
-most forward progress (the earliest corridor cell on ties).  It is slow and
-kept only as the oracle the batched walker is compared against.
+the line.  Each cell offers its first feasible member counting from position
+`src mod size` in id order; each step commits the offer with the most
+forward progress (the earliest corridor cell on ties).  It is slow and kept
+only as the oracle the batched walker is compared against.
 
-The scalar eligibility rule (`decide_mode`) and the exact per-cell line count
-(`lines_through_cell`, on `segment_intersects_square`) are the oracles for
-`assign_flows`' eligibility column and `lines_per_cell`.
+The scalar eligibility rule (`decide_mode`) is the oracle for
+`assign_flows`' eligibility column, `bs_cell_of` for its BS columns and
+`cell_members` for the topology's cell index.  `lines_per_cell` tallies the
+ad hoc S-D lines crossing each cell along the `supercover_cells` walk, for
+acceptance criterion 7; the exact per-cell count (`lines_through_cell`, on
+`segment_intersects_square`) is its oracle.
 """
 
 from __future__ import annotations
 
 import math
 
-from mcis.errors import EmptyCellError, HopBudgetExceededError
-from mcis.routing import LANES, Mode
+import numpy as np
+
+from mcis.geometry import grid_index
+from mcis.routing import EMPTY_CELL, HOP_BUDGET, LANES, Mode
+
+
+def cell_members(topology, row: int, col: int) -> list[int]:
+    """Ids of the nodes in routing cell (row, col), ascending."""
+    cell = row * topology.cell_side_count + col
+    return topology.cell_nodes[topology.cell_start[cell]:topology.cell_start[cell + 1]].tolist()
+
+
+def bs_cell_of(topology, x: float, y: float) -> int:
+    """Flattened index of the BS-cell (= BS id) containing the point."""
+    b0 = topology.bs_cell_side_count
+    row = int(grid_index(np.asarray([y]), b0)[0])
+    col = int(grid_index(np.asarray([x]), b0)[0])
+    return row * b0 + col
 
 
 def decide_mode(src_pos, dst_pos, H: int, tx_range: float) -> Mode:
@@ -80,6 +98,74 @@ def lines_through_cell(table, cell, topology) -> int:
     return count
 
 
+def supercover_cells(x0: float, y0: float, x1: float, y1: float, s: int) -> list:
+    """Cells of an s x s unit grid crossed by the closed segment, in order.
+
+    Covers every cell whose closed square the segment intersects with
+    positive overlap; exact corner grazes may add the diagonal neighbours.
+    """
+    eps = 1e-12
+    cx = min(int(x0 * s), s - 1)
+    cy = min(int(y0 * s), s - 1)
+    ex = min(int(x1 * s), s - 1)
+    ey = min(int(y1 * s), s - 1)
+    cells = [(cy, cx)]
+    dx = x1 - x0
+    dy = y1 - y0
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    # Parametric distance to the next vertical / horizontal grid line.
+    if abs(dx) < eps:
+        t_max_x = math.inf
+        t_dx = math.inf
+    else:
+        next_x = (cx + (1 if step_x > 0 else 0)) / s
+        t_max_x = (next_x - x0) / dx
+        t_dx = abs(1.0 / (s * dx))
+    if abs(dy) < eps:
+        t_max_y = math.inf
+        t_dy = math.inf
+    else:
+        next_y = (cy + (1 if step_y > 0 else 0)) / s
+        t_max_y = (next_y - y0) / dy
+        t_dy = abs(1.0 / (s * dy))
+    while (cy, cx) != (ey, ex):
+        if t_max_x < t_max_y - eps:
+            cx += step_x
+            t_max_x += t_dx
+        elif t_max_y < t_max_x - eps:
+            cy += step_y
+            t_max_y += t_dy
+        else:
+            # Corner crossing: include both side cells, then step diagonally.
+            if 0 <= cx + step_x < s:
+                cells.append((cy, cx + step_x))
+            if 0 <= cy + step_y < s:
+                cells.append((cy + step_y, cx))
+            cx += step_x
+            cy += step_y
+            t_max_x += t_dx
+            t_max_y += t_dy
+        if not (0 <= cx < s and 0 <= cy < s):
+            break
+        cells.append((cy, cx))
+        if len(cells) > 4 * s + 4:    # straight segments cannot visit more
+            raise RuntimeError("grid walk failed to terminate")
+    return cells
+
+
+def lines_per_cell(table, topology) -> np.ndarray:
+    """Supercover tally of ad hoc S-D lines for every cell (s x s array)."""
+    s = topology.cell_side_count
+    counts = np.zeros((s, s), dtype=np.int64)
+    pos = topology.node_positions
+    ends = np.column_stack([pos[table.src[table.adhoc]], pos[table.dst[table.adhoc]]])
+    for x0, y0, x1, y1 in ends.tolist():
+        for row, col in supercover_cells(x0, y0, x1, y1, s):
+            counts[row, col] += 1
+    return counts
+
+
 def corridor_cells(x0, y0, x1, y1, s):
     """Cells along the segment plus LANES flanking lanes each side, ordered by
     progress along the driving axis (x unless the segment is steeper than
@@ -103,11 +189,10 @@ def corridor_cells(x0, y0, x1, y1, s):
     return cells
 
 
-def walk_relays(src, dst, topology, max_hops, rotate=False):
-    """Greedy relay chain through the cells flanking the S-D segment.
-
-    Raises EmptyCellError when no forward relay is reachable and
-    HopBudgetExceededError past max_hops.
+def walk_relays(src, dst, topology, max_hops):
+    """Greedy relay chain through the cells flanking the S-D segment: the
+    relays in order, or the fallback cause, EMPTY_CELL when no forward relay
+    is reachable and HOP_BUDGET past max_hops.
     """
     pos = topology.node_positions.tolist()
     r = topology.tx_range
@@ -141,28 +226,21 @@ def walk_relays(src, dst, topology, max_hops, rotate=False):
         cdx = dx_ - cur_x
         cdy = dy_ - cur_y
         if cdx * cdx + cdy * cdy <= r2:
-            if len(relays) + 1 > max_hops:
-                raise HopBudgetExceededError(
-                    f"flow {src}->{dst} needs {len(relays) + 1} hops > H={max_hops}")
-            return relays
+            return HOP_BUDGET if len(relays) + 1 > max_hops else relays
         if len(relays) >= max_hops:
-            raise HopBudgetExceededError(f"flow {src}->{dst} exceeds H={max_hops} hops")
+            return HOP_BUDGET
         cur_proj = cur_t * seg_len
         best = None     # (t, node)
         for idx in range(scan_from, n_cells):
             if proj[idx] - cur_proj > window:
                 break
             cell = cells[idx]
-            nodes = topology.cell_members(cell // s, cell % s)
+            nodes = cell_members(topology, cell // s, cell % s)
             if not nodes:
                 continue
-            if rotate:
-                start = src % len(nodes)
-                nodes = nodes[start:] + nodes[:start]
-            # Members are in id order, so without rotation the first of
-            # equally close candidates has the lowest id.
+            start = src % len(nodes)
             offer = None
-            for node in nodes:
+            for node in nodes[start:] + nodes[:start]:
                 if node in banned:
                     continue
                 px, py = pos[node]
@@ -177,16 +255,12 @@ def walk_relays(src, dst, topology, max_hops, rotate=False):
                 perp = abs((px - sx) * ddy - (py - sy) * ddx)
                 if perp > corridor:
                     continue
-                if offer is None or perp < offer_perp:
-                    offer = (t, node)
-                    offer_perp = perp
-                    if rotate:
-                        break
+                offer = (t, node)
+                break
             if offer is not None and (best is None or offer[0] > best[0]):
                 best = offer
         if best is None:
-            raise EmptyCellError(
-                f"flow {src}->{dst}: no reachable forward relay from t={cur_t:.3f}")
+            return EMPTY_CELL
         t, node = best
         relays.append(node)
         banned.add(node)

@@ -14,7 +14,6 @@ from mcis.analytic import (
     classify_regime,
     delay,
     expected_hops,
-    optimal_point,
     per_node_throughput,
     preset,
     prob_adhoc,
@@ -241,11 +240,3 @@ def test_preset_sc_is():
     with pytest.raises(ValueError):
         preset("nope", 100, 1.0)
 
-
-def test_optimal_point():
-    cfg = make_cfg(n=4, b=4, C_I=12, C=16, m=12, W=120.0, W_A=100.0, W_I=10.0, H=3)
-    opt = optimal_point(cfg)
-    assert opt.lambda_opt == pytest.approx(120.0)     # b = n
-    assert opt.d_opt == pytest.approx(1 / 12)
-    small_b = make_cfg(n=100, b=4)
-    assert optimal_point(small_b).lambda_opt == pytest.approx(4 / 100 * 120.0)

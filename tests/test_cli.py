@@ -1,7 +1,14 @@
 import csv
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mcis.routing
+import mcis.scheduling
+import mcis.simulator
 
 from mcis import analytic
 from mcis.cli import main
@@ -91,6 +98,8 @@ def test_sweep_spec_validation():
         SweepSpec(param="n", values=(), seeds=1, horizon=27)
     with pytest.raises(ConfigError):
         SweepSpec(param="n", values=(10,), seeds=0, horizon=27)
+    with pytest.raises(ConfigError):
+        SweepSpec(param="n", values=(10,), seeds=1, horizon=27, warmup_superframes=-1)
 
 
 def test_point_config_keeps_splits_consistent():
@@ -196,7 +205,9 @@ def test_run_sweep_failure_names_point(tmp_path):
     ["simulate", "--seed", "-1"],
     ["simulate", "--k8", "-1"],
     ["sweep", "--k8", "-1", "--param", "m", "--values", "4"],
-], ids=["seed", "k8", "sweep-k8"])
+    ["simulate", "--warmup", "-1"],
+    ["sweep", "--warmup", "-1", "--param", "m", "--values", "4"],
+], ids=["seed", "k8", "sweep-k8", "warmup", "sweep-warmup"])
 def test_negative_seed_and_k8_exits_1(tmp_path, capsys, argv):
     path, cfg = write_cfg(tmp_path, n=100)
     argv = [argv[0], "--config", str(path), "--horizon", "27", *argv[1:]]
@@ -259,11 +270,13 @@ def test_sweep_antenna_mode_by_name(tmp_path):
         ("omni", "omni"), ("directional", "directional")]
 
 
-@pytest.mark.parametrize("command", ["classify", "simulate"])
+@pytest.mark.parametrize("command", ["classify", "simulate", "sweep", "preset"])
 @pytest.mark.parametrize("n", [0, 2])
 def test_fewer_than_three_nodes_exits_1(tmp_path, capsys, command, n):
     path, cfg = write_cfg(tmp_path, n=n)
-    assert main([command, "--config", str(path)]) == 1
+    extra = {"sweep": ["--param", "m", "--values", "4"],
+             "preset": ["--preset", "sc-ah"]}.get(command, [])
+    assert main([command, "--config", str(path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "n >= 3" in err
 
@@ -275,3 +288,122 @@ def test_fit_non_numeric_cell_exits_2(tmp_path, capsys):
                  "--measured", "meas", "--predicted", "pred"]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "'oops'" in err and err.count("\n") == 1
+
+
+# SHA-256 of the `--dump-flows` and `--dump-schedule` files for `write_cfg`'s
+# network (n = 300, seed 0), recorded before the dumps reused the run's build.
+FLOWS_SHA256 = "9c548fea16aaddee3bf782a97ac65d01e6f4a0c5e385a55d0a77f9dc8376f6cf"
+SCHEDULE_SHA256 = "bb9e1d98a766cb41d47ea23bac8a42aa3ea93aa37f598fc4e58e52665ff2612f"
+
+
+def test_simulate_dumps_reuse_the_run_network(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    # Patch each builder wherever a caller may look it up.
+    for name, home in (("assign_flows", mcis.routing),
+                       ("build_adhoc_schedule", mcis.scheduling)):
+        wrapper = counted(home, name)
+        monkeypatch.setattr(home, name, wrapper)
+        monkeypatch.setattr(mcis.simulator, name, wrapper)
+    path, cfg = write_cfg(tmp_path)
+    flows, schedule = tmp_path / "flows.csv", tmp_path / "schedule.csv"
+    assert main(["simulate", "--config", str(path), "--horizon", "27",
+                 "--dump-flows", str(flows), "--dump-schedule", str(schedule),
+                 "--out", str(tmp_path / "run.csv")]) == 0
+    assert sorted(calls) == ["assign_flows", "build_adhoc_schedule"]
+    assert hashlib.sha256(flows.read_bytes()).hexdigest() == FLOWS_SHA256
+    assert hashlib.sha256(schedule.read_bytes()).hexdigest() == SCHEDULE_SHA256
+
+
+# Option values for the fuzz test: out of range, non-finite and non-numeric
+# ones among a few valid ones.
+INTEGERS = ("-1", "0", "1", "2")
+NOT_INTEGERS = ("nan", "inf", "abc")
+REALS = ("-1", "0", "0.1", "2", "nan", "inf", "abc")
+
+
+@st.composite
+def cli_argv(draw, config, table):
+    """An argument vector from the CLI grammar: a subcommand, its required
+    options, each optional one present or not, and every value drawn from a
+    small set."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    def option(flag, *values):
+        value = pick(None, *values)
+        return [] if value is None else [f"{flag}={value}"]
+
+    integer_flags = []
+
+    def integer(flag, *valid):
+        integer_flags.append(flag)
+        return option(flag, *INTEGERS, *valid)
+
+    def path(name):
+        return str(config.parent / name)
+
+    command = pick("classify", "simulate", "sweep", "fit", "plot", "preset")
+    argv = [command]
+    if command in ("fit", "plot"):
+        columns = ("x", "y", "zero", "neg", "bad", "absent")
+        argv += [f"--csv={pick(table, table, path('absent.csv'))}", f"--x={pick(*columns)}"]
+        if command == "fit":
+            argv += [f"--measured={pick(*columns)}", f"--predicted={pick(*columns)}"]
+            return argv + option("--max-spread", *REALS)
+        return argv + [f"--y={pick(*columns)}", f"--out={path('plot.svg')}",
+                       *["--loglog"] * draw(st.booleans())]
+    argv += [f"--config={pick(config, config, path('absent.cfg'))}"]
+    if command == "preset":
+        return argv + [f"--preset={pick('sc-ah', 'mc-ah', 'sc-is', 'bogus')}",
+                       *option("--out", path("preset.cfg"))]
+    argv += option("--preset", "sc-ah", "mc-ah", "sc-is")
+    argv += integer("--seed")
+    if command != "classify":
+        argv += [f"--horizon={pick('-1', '0', '27', '45', '60')}", f"--out={path('out.csv')}"]
+        argv += integer("--warmup") + integer("--k8", "3", "8")
+    if command == "simulate":
+        argv += option("--interior-margin", *REALS)
+        argv += option("--dump-flows", path("flows.csv"))
+        argv += option("--dump-schedule", path("schedule.csv"))
+    if command == "sweep":
+        values = draw(st.lists(st.sampled_from(("-1", "0", "2", "4", "48", "nan", "inf",
+                                                "abc", "omni")), min_size=1, max_size=3))
+        param = pick("n", "m", "H", "C_A", "W_I", "delta", "theta", "antenna_mode", "b", "bogus")
+        argv += [f"--param={param}", f"--values={','.join(values)}"]
+        argv += integer("--seeds") + option("--workers", "-1", "0", "1")  # never a pool
+    # Now and then a value that argparse must refuse for an integer option.
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(f"{pick(*integer_flags)}={pick(*NOT_INTEGERS)}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A 48-node config and a CSV whose columns are good, zero, negative and
+    non-finite, in one directory that the fuzzed commands also write to."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    config, _ = write_cfg(directory, n=48)
+    table = directory / "table.csv"
+    table.write_text("x,y,zero,neg,bad\n1,3,0,-1,1\n2,5,0,-2,nan\n4,9,0,-3,inf\n"
+                     "8,17,0,-4,4\n16,33,0,-5,5\n")
+    return config, str(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_documented_code(fuzz_inputs, data):
+    argv = data.draw(cli_argv(*fuzz_inputs), label="argv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse usage errors exit 2
+        code = exc.code
+    assert code in (0, 1, 2, 3)

@@ -17,6 +17,7 @@ from mcis.errors import (
     NonSquareBsError,
     OddInterfacesError,
 )
+from mcis.harness import SweepSpec, point_config
 
 
 def base_raw(**overrides):
@@ -46,6 +47,8 @@ def test_odd_interfaces_rejected():
 def test_non_square_bs_rejected():
     with pytest.raises(NonSquareBsError):
         validate_config(base_raw(b=5))
+    with pytest.raises(NonSquareBsError):
+        validate_config(base_raw(b=-1))
 
 
 def test_channel_split_enforced():
@@ -118,6 +121,18 @@ def test_b0_consistency_checked():
         validate_config(base_raw(b0=3))
     cfg = validate_config(base_raw(b=9, b0=3))
     assert cfg.b0 == 3
+
+
+def test_integer_field_rejects_fractional_float():
+    with pytest.raises(ConfigError, match="n needs an integer"):
+        validate_config(base_raw(n=300.7))
+    with pytest.raises(ConfigError, match="H needs an integer"):
+        validate_config(base_raw(H=10.9))
+    assert validate_config(base_raw(n=300.0)).n == 300
+    cfg = validate_config(base_raw())
+    spec = SweepSpec(param="n", values=(1000.5,), seeds=1, horizon=27)
+    with pytest.raises(ConfigError, match="n needs an integer"):
+        point_config(cfg, spec, 1000.5)
 
 
 def test_with_overrides_revalidates():

